@@ -1,0 +1,13 @@
+"""Self-tests of the harness; run by explicit path, never by tier-1:
+
+    python -m pytest benchmarks/harness/tests -q
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
