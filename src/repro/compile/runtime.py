@@ -20,6 +20,7 @@ hierarchy.
 
 import numpy as np
 
+from repro.core.algebra import group_arrays
 from repro.core.atoms import _ATOMS, BIT, DBL, LNG, OID, STR
 from repro.core.bat import BAT
 from repro.core.heap import StringHeap
@@ -173,22 +174,8 @@ def select_range(bat, lo, hi, lo_incl, hi_incl, cand, dense_ok=False):
 # grouping
 # ---------------------------------------------------------------------------
 
-def group(values, gids=None):
-    """``group.group`` on raw arrays: (gids, extents, histogram)."""
-    if gids is not None:
-        key = np.stack([gids.astype(np.int64),
-                        values.astype(np.int64)
-                        if values.dtype.kind != "f" else
-                        values.view(np.int64)], axis=1)
-        _, first_pos, out_gids = np.unique(key, axis=0, return_index=True,
-                                           return_inverse=True)
-    else:
-        _, first_pos, out_gids = np.unique(values, return_index=True,
-                                           return_inverse=True)
-    out_gids = out_gids.astype(np.int64).reshape(-1)
-    histogram = np.bincount(out_gids,
-                            minlength=len(first_pos)).astype(np.int64)
-    return out_gids, first_pos.astype(np.int64), histogram
+#: ``group.group`` on raw arrays — the interpreter's operator itself.
+group = group_arrays
 
 
 def unique_positions(values):

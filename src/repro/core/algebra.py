@@ -14,12 +14,26 @@ Conventions
 * Join results are pairs of aligned candidate lists (left oids, right
   oids).
 * All functions are pure: inputs are never mutated.
+
+Physical operator choice
+------------------------
+As Section 3.1 describes, an operator picks its algorithm *tactically at
+run time* from what the data looks like.  Grouping and the equi-join
+take a direct-address path when the column is integer-typed and its
+value span ``max - min + 1`` is at most :data:`DENSE_SPAN_FACTOR` times
+the row count (for the join: the build side's, which must also be a
+key); otherwise they fall back to sorting.  Both paths give
+bit-identical results.  :func:`group_arrays` is the one grouping
+operator, shared by the interpreter and generated kernels.
 """
 
 import numpy as np
 
 from repro.core.atoms import BIT, DBL, LNG, OID, STR, Atom
 from repro.core.bat import BAT
+
+#: Dense-domain paths run when max - min + 1 <= this x the row count.
+DENSE_SPAN_FACTOR = 2
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +59,17 @@ def _comparable_tail(bat, positions=None):
     if bat.atom.varsized:
         return np.asarray(bat.heap.get_many(tail), dtype=object)
     return tail
+
+
+def _dense_span(values, limit):
+    """``(lo, span)`` of a non-empty integer array whose value span is
+    at most ``limit``, else None.  Floats, bools and empty inputs fail,
+    and so does a nil sentinel (the domain minimum) among real values."""
+    if len(values) == 0 or values.dtype.kind not in "iu":
+        return None
+    lo = int(values.min())
+    span = int(values.max()) - lo + 1
+    return (lo, span) if span <= limit else None
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +175,38 @@ def project_const(candidates, value, atom):
 # ---------------------------------------------------------------------------
 
 def _join_positions_fixed(ltail, rtail):
-    """Equi-join positions for fixed-width tails (sort-merge based)."""
+    """Equi-join positions for fixed-width tails, in left order.
+
+    A key build side over a compact integer domain is probed through a
+    slot array (:func:`_join_positions_dense`); anything else is
+    sort-merged.  Both emit the same positions in the same order.
+    """
+    if ltail.dtype.kind in "iu":
+        dense = _dense_span(rtail, DENSE_SPAN_FACTOR * len(rtail))
+        if dense is not None:
+            found = _join_positions_dense(ltail, rtail, *dense)
+            if found is not None:
+                return found
+    return _join_positions_sorted(ltail, rtail)
+
+
+def _join_positions_dense(ltail, rtail, lo, span):
+    """Direct-address join: ``slots[v - lo]`` is the right position
+    holding ``v``.  None when ``rtail`` repeats a value (not a key)."""
+    slots = np.full(span, -1, dtype=np.int64)
+    slots[rtail.astype(np.int64, copy=False) - lo] = np.arange(
+        len(rtail), dtype=np.int64)
+    if np.count_nonzero(slots >= 0) != len(rtail):
+        return None
+    probe = ltail.astype(np.int64, copy=False)
+    l_pos = np.flatnonzero((probe >= lo) & (probe <= lo + span - 1))
+    r_pos = slots[probe[l_pos] - lo]
+    hit = r_pos >= 0
+    return l_pos[hit], r_pos[hit]
+
+
+def _join_positions_sorted(ltail, rtail):
+    """Sort-merge equi-join positions (any fixed-width tails)."""
     r_order = np.argsort(rtail, kind="stable")
     r_sorted = rtail[r_order]
     left = np.searchsorted(r_sorted, ltail, side="left")
@@ -315,26 +371,82 @@ def group(bat, groups=None):
     * ``gids`` — per-row dense group id (0..G-1), aligned with ``bat``;
     * ``extents`` — for each group, the position of its first member;
     * ``histogram`` — per-group member count.
+
+    String tails group by heap offset: offsets are interned, so equal
+    string <=> equal offset.
     """
-    if bat.atom.varsized:
-        values = bat.tail  # offsets are interned: equal string <=> equal offset
-    else:
-        values = bat.tail
-    if groups is not None:
-        key = np.stack([groups.tail.astype(np.int64),
+    gids, extents, histogram = group_arrays(
+        bat.tail, None if groups is None else groups.tail)
+    return BAT(OID, gids), BAT(OID, extents), BAT(LNG, histogram)
+
+
+def group_arrays(values, gids=None):
+    """:func:`group` on raw arrays: ``(gids, extents, histogram)``.
+
+    Groups are numbered in ascending value order on either path: direct
+    addressing for one integer column over a compact domain, otherwise
+    ``np.unique`` (a sort).  Refining existing ``gids`` always sorts.
+    """
+    if gids is None:
+        dense = _dense_span(values, DENSE_SPAN_FACTOR * len(values))
+        if dense is not None:
+            return _group_dense(values, *dense)
+    return _group_sorted(values, gids)
+
+
+def _group_dense(values, lo, span):
+    """Direct-address grouping: one counting pass over ``values - lo``."""
+    slots = values.astype(np.int64, copy=False) - lo
+    counts = np.bincount(slots, minlength=span)
+    present = counts > 0
+    gids = (np.cumsum(present) - 1)[slots]
+    histogram = counts[present].astype(np.int64, copy=False)
+    extents = np.full(len(histogram), len(values), dtype=np.int64)
+    np.minimum.at(extents, gids, np.arange(len(values), dtype=np.int64))
+    return gids, extents, histogram
+
+
+def _group_sorted(values, gids=None):
+    """``np.unique`` grouping, optionally refining existing gids."""
+    if gids is not None:
+        key = np.stack([gids.astype(np.int64),
                         values.astype(np.int64)
                         if values.dtype.kind != "f" else
                         values.view(np.int64)], axis=1)
-        _, first_pos, gids = np.unique(key, axis=0, return_index=True,
-                                       return_inverse=True)
+        _, first_pos, out_gids = np.unique(key, axis=0, return_index=True,
+                                           return_inverse=True)
     else:
-        _, first_pos, gids = np.unique(values, return_index=True,
-                                       return_inverse=True)
-    gids = gids.astype(np.int64).reshape(-1)
-    histogram = np.bincount(gids, minlength=len(first_pos)).astype(np.int64)
-    return (BAT(OID, gids),
-            BAT(OID, first_pos.astype(np.int64)),
-            BAT(LNG, histogram))
+        _, first_pos, out_gids = np.unique(values, return_index=True,
+                                           return_inverse=True)
+    out_gids = out_gids.astype(np.int64).reshape(-1)
+    histogram = np.bincount(out_gids,
+                            minlength=len(first_pos)).astype(np.int64)
+    return out_gids, first_pos.astype(np.int64), histogram
+
+
+def _sort_columns(bat, ascending):
+    """One ORDER BY key as (nil-flag, value) lexsort columns.
+
+    Nil (the int sentinel, NaN for floats, a nil string) sorts first
+    ascending and last descending; a descending key negates its values,
+    with nil zeroed first so negation cannot overflow.  Strings sort by
+    their rank among the distinct decoded values.
+    """
+    tail = bat.tail
+    if bat.atom.varsized:
+        nil = tail == bat.heap.NIL_OFFSET
+        value = np.zeros(len(tail), dtype=np.int64)
+        present = np.asarray(bat.heap.get_many(tail[~nil]), dtype=object)
+        value[~nil] = np.unique(present, return_inverse=True)[1]
+    elif tail.dtype.kind == "b":
+        nil = np.zeros(len(tail), dtype=bool)
+        value = tail.astype(np.int8)
+    else:
+        nil = np.asarray(bat.atom.is_nil(tail), dtype=bool)
+        value = np.where(nil, 0, tail)
+    if ascending:
+        return ~nil, value
+    return nil, -value
 
 
 def sort_multi(*keys_and_flags):
@@ -342,32 +454,36 @@ def sort_multi(*keys_and_flags):
 
     Arguments alternate (key BAT, ascending flag):
     ``sort_multi(k1, True, k2, False)`` orders by k1 ascending, ties by
-    k2 descending.  Returns a positions BAT, like :func:`order`.
+    k2 descending; rows tied on every key keep their input order.
+    Returns a positions BAT, like :func:`order`.
     """
-    import functools
     keys = keys_and_flags[0::2]
-    flags = [bool(f) for f in keys_and_flags[1::2]]
     if not keys:
         raise ValueError("sort_multi needs at least one key")
-    decoded = [k.decoded() for k in keys]
-    n = len(decoded[0])
+    columns = []
+    for key, ascending in zip(keys, keys_and_flags[1::2]):
+        columns.extend(_sort_columns(key, bool(ascending)))
+    # np.lexsort's last column is the primary key.
+    return BAT(OID, np.lexsort(columns[::-1]).astype(np.int64))
 
-    def compare(i, j):
-        for values, ascending in zip(decoded, flags):
-            a, b = values[i], values[j]
-            if a == b:
-                continue
-            if a is None:
-                outcome = -1
-            elif b is None:
-                outcome = 1
-            else:
-                outcome = -1 if a < b else 1
-            return outcome if ascending else -outcome
-        return -1 if i < j else (0 if i == j else 1)  # stability
 
-    positions = sorted(range(n), key=functools.cmp_to_key(compare))
-    return BAT(OID, np.asarray(positions, dtype=np.int64))
+def _nil_first_key(value):
+    """Sort key for one decoded value: None and NaN (the DBL nil) order
+    before everything else, as :func:`sort_multi` places nil."""
+    if value is None or value != value:
+        return (False, 0)
+    return (True, value)
+
+
+def order_rows(rows, keyed, ascending):
+    """:func:`sort_multi` over Python rows: ``keyed(row, i)`` is row's
+    i-th key, ``ascending[i]`` its direction.  Stable successive sorts
+    from the minor key up (a reversed sort keeps ties in input order)."""
+    out = list(rows)
+    for i in range(len(ascending) - 1, -1, -1):
+        out.sort(key=lambda row: _nil_first_key(keyed(row, i)),
+                 reverse=not ascending[i])
+    return out
 
 
 def cand_sort(candidates):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.algebra import order_rows
 from repro.faults import NO_FAULTS
 from repro.governance.context import CHECK_MORSEL, NO_GOVERNANCE
 from repro.observability.tracer import NO_TRACE, Tracer
@@ -455,7 +456,8 @@ class ParallelSelectExecutor:
                 key_rows = [k for _, k in pairs]
         if select.order_by:
             ascending = [o.ascending for o in select.order_by]
-            order = _sort_order(key_rows, ascending)
+            order = order_rows(range(len(rows)),
+                               lambda i, k: key_rows[i][k], ascending)
             rows = [rows[i] for i in order]
         if select.limit is not None:
             rows = rows[:select.limit]
@@ -771,14 +773,3 @@ def _distinct_pairs(rows, key_rows):
             seen.add(row)
             out.append((row, key))
     return out
-
-
-def _sort_order(key_rows, ascending):
-    """Row permutation for a multi-key sort with per-key direction:
-    successive stable sorts from the minor key up (python's sort keeps
-    the incoming order of equal keys in both directions)."""
-    order = list(range(len(key_rows)))
-    for position in range(len(ascending) - 1, -1, -1):
-        reverse = not ascending[position]
-        order.sort(key=lambda i: key_rows[i][position], reverse=reverse)
-    return order

@@ -3,13 +3,14 @@
 The shard fragments arrive as decoded row tuples; everything here is
 plain Python over small merged states (group keys, partial aggregates),
 mirroring the single-node engine's semantics — None is the decoded nil,
-aggregates of nothing are None (COUNT: 0), sorts put None first, HAVING
-treats None as false.  Floating-point recombination is exact for the
-dyadic-rational data the test generators emit; arbitrary doubles may
-see the usual re-association jitter, which the comparison helpers
-normalize away.
+aggregates of nothing are None (COUNT: 0), sorts put nil (None or NaN)
+first ascending and last descending, HAVING treats None as false.
+Floating-point recombination is exact for the dyadic-rational data the
+test generators emit; arbitrary doubles may see the usual
+re-association jitter, which the comparison helpers normalize away.
 """
 
+from repro.core.algebra import order_rows
 from repro.sql.ast import BinOp, IsNull, Literal, UnaryOp
 from repro.sharding.planner import AvgOf, GroupCol, Partial
 
@@ -106,20 +107,6 @@ def _binop(op, left, right):
     raise MergeError("unknown operator {0!r}".format(op))
 
 
-def sort_key(value):
-    """Total order with None first (the engine's nil sort position)."""
-    return (value is not None, value)
-
-
-def _order(rows, keyed, order):
-    """Stable multi-key sort: ``keyed(row, i)`` yields sort values."""
-    out = list(rows)
-    for i, ascending in reversed(list(enumerate(order))):
-        out.sort(key=lambda row: sort_key(keyed(row, i)),
-                 reverse=not ascending)
-    return out
-
-
 def _distinct(rows):
     seen = set()
     out = []
@@ -139,9 +126,9 @@ def merge_rows(plan, shard_rows):
     if plan.distinct:
         rows = _distinct(rows)
     if plan.order_columns:
-        rows = _order(rows,
-                      lambda row, i: row[plan.order_columns[i][0]],
-                      [asc for _, asc in plan.order_columns])
+        rows = order_rows(rows,
+                          lambda row, i: row[plan.order_columns[i][0]],
+                          [asc for _, asc in plan.order_columns])
     if plan.limit is not None:
         rows = rows[:plan.limit]
     if any(pos >= plan.n_items for pos, _ in plan.order_columns):
@@ -182,10 +169,11 @@ def merge_aggregates(plan, shard_rows):
         out.append((row, key, combined))
     rows = [row for row, _, _ in out]
     if plan.order_exprs:
-        decorated = _order(out,
-                           lambda entry, i: eval_merge(
-                               plan.order_exprs[i][0], entry[1], entry[2]),
-                           [asc for _, asc in plan.order_exprs])
+        decorated = order_rows(out,
+                               lambda entry, i: eval_merge(
+                                   plan.order_exprs[i][0], entry[1],
+                                   entry[2]),
+                               [asc for _, asc in plan.order_exprs])
         rows = [row for row, _, _ in decorated]
     if plan.distinct:
         rows = _distinct(rows)

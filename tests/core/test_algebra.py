@@ -1,5 +1,7 @@
 """Unit and property tests for the BAT Algebra."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -330,3 +332,242 @@ def test_property_grouped_sum_consistent_with_total(values):
     gids, _, hist = algebra.group(b)
     sums = algebra.grouped_sum(b, gids, len(hist))
     assert sum(sums.decoded()) == sum(values)
+
+
+# ---------------------------------------------------------------------------
+# run-time operator choice: each alternative against the path it replaces
+# ---------------------------------------------------------------------------
+
+def _decoded_nil_none(bat):
+    nil = algebra.calc_isnil(bat).tail
+    return [None if is_nil else v for v, is_nil in zip(bat.decoded(), nil)]
+
+
+def comparator_sort_multi(*keys_and_flags):
+    """Reference ORDER BY: a Python comparator over decoded values with
+    nil as None (first ascending, last descending), ties broken by
+    input position.  ``algebra.sort_multi`` must agree bit for bit."""
+    keys = keys_and_flags[0::2]
+    flags = [bool(f) for f in keys_and_flags[1::2]]
+    decoded = [_decoded_nil_none(k) for k in keys]
+    n = len(decoded[0])
+
+    def compare(i, j):
+        for values, ascending in zip(decoded, flags):
+            a, b = values[i], values[j]
+            if a == b:
+                continue
+            if a is None:
+                outcome = -1
+            elif b is None:
+                outcome = 1
+            else:
+                outcome = -1 if a < b else 1
+            return outcome if ascending else -outcome
+        return -1 if i < j else (0 if i == j else 1)  # stability
+
+    return sorted(range(n), key=functools.cmp_to_key(compare))
+
+
+# Small domains so that ties (within and across keys) are common.
+_SORT_DOMAINS = {
+    "lng": (LNG, st.one_of(st.none(), st.integers(-3, 3), st.sampled_from(
+        [int(LNG.nil) + 1, int(np.iinfo(np.int64).max)]))),
+    "int": (INT, st.one_of(st.none(), st.integers(-3, 3))),
+    "dbl": (DBL, st.one_of(st.none(), st.sampled_from(
+        [-2.5, -0.0, 0.0, 1.5, float("inf"), float("-inf")]))),
+    "str": (STR, st.one_of(st.none(), st.sampled_from(
+        ["", "a", "ab", "b", "é"]))),
+    "bit": (BIT, st.booleans()),
+}
+
+
+def _key_bat(atom, values):
+    if atom is STR:
+        return BAT.from_values(values, atom=STR)
+    return BAT(atom, [atom.nil if v is None else v for v in values])
+
+
+@st.composite
+def sort_arguments(draw):
+    n = draw(st.integers(0, 25))
+    kinds = draw(st.lists(st.sampled_from(sorted(_SORT_DOMAINS)),
+                          min_size=1, max_size=3))
+    args = []
+    for kind in kinds:
+        atom, values = _SORT_DOMAINS[kind]
+        args.append(_key_bat(atom, draw(st.lists(values, min_size=n,
+                                                 max_size=n))))
+        args.append(draw(st.booleans()))
+    return args
+
+
+@settings(max_examples=200, deadline=None)
+@given(sort_arguments())
+def test_property_lexsort_matches_comparator(args):
+    got = algebra.sort_multi(*args).tail
+    assert got.dtype == np.int64
+    assert got.tolist() == comparator_sort_multi(*args)
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
+_int_dtypes = st.sampled_from([np.int8, np.int32, np.int64])
+
+
+def _int_arrays(values, min_size=0):
+    return st.tuples(st.lists(values, min_size=min_size, max_size=40),
+                     _int_dtypes).map(lambda p: np.asarray(p[0], p[1]))
+
+
+def _with_nil(atom, values):
+    return st.lists(st.one_of(st.none(), values), max_size=30).map(
+        lambda vs: np.asarray([atom.nil if v is None else v for v in vs],
+                              dtype=atom.dtype))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_arrays(st.integers(-60, 60), min_size=1))
+def test_property_dense_group_matches_unique(values):
+    # Called directly, whatever the span: short lists over a +-60
+    # domain are the sparse case the span test would turn away.
+    lo = int(values.min())
+    span = int(values.max()) - lo + 1
+    _assert_same_arrays(algebra._group_dense(values, lo, span),
+                        algebra._group_sorted(values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_int_arrays(st.integers(-60, 60)),
+                 st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=40).map(
+                     lambda vs: np.asarray(vs, dtype=np.int64)),
+                 _with_nil(INT, st.integers(-5, 5)),
+                 _with_nil(LNG, st.integers(-5, 5))))
+def test_property_group_choice_matches_unique(values):
+    _assert_same_arrays(algebra.group_arrays(values),
+                        algebra._group_sorted(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.sampled_from(["x", "yy", "z"])),
+                max_size=30))
+def test_property_string_group_matches_unique(values):
+    bat = BAT.from_values(values, atom=STR)
+    gids, extents, hist = algebra.group(bat)
+    _assert_same_arrays((gids.tail, extents.tail, hist.tail),
+                        algebra._group_sorted(bat.tail))
+
+
+_probe_values = st.one_of(st.integers(-40, 40), st.just(int(LNG.nil)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_probe_values, max_size=40),
+       st.lists(st.integers(-40, 40), min_size=1, max_size=30, unique=True),
+       _int_dtypes)
+def test_property_dense_join_matches_sort_merge(left, right, rdtype):
+    ltail = np.asarray(left, dtype=np.int64)
+    rtail = np.asarray(right, dtype=rdtype)
+    lo = int(rtail.min())
+    span = int(rtail.max()) - lo + 1
+    dense = algebra._join_positions_dense(ltail, rtail, lo, span)
+    assert dense is not None
+    _assert_same_arrays(dense, algebra._join_positions_sorted(ltail, rtail))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_probe_values, max_size=40),
+       st.lists(st.integers(-40, 40), min_size=1, max_size=30))
+def test_property_join_choice_matches_sort_merge(left, right):
+    # Duplicate build keys are common here; they must fall back.
+    ltail = np.asarray(left, dtype=np.int64)
+    rtail = np.asarray(right, dtype=np.int64)
+    if len(set(right)) < len(right):
+        lo = int(rtail.min())
+        span = int(rtail.max()) - lo + 1
+        assert algebra._join_positions_dense(ltail, rtail, lo, span) is None
+    _assert_same_arrays(algebra._join_positions_fixed(ltail, rtail),
+                        algebra._join_positions_sorted(ltail, rtail))
+
+
+class TestOperatorChoiceBoundaries:
+    """Inputs at or past the dense paths' limits take the fallback and
+    still give the fallback's answer."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        real = getattr(algebra, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(algebra, name, wrapper)
+        return calls
+
+    def check_group(self, monkeypatch, values, dense):
+        dense_calls = self.spy(monkeypatch, "_group_dense")
+        got = algebra.group_arrays(values)
+        assert bool(dense_calls) == dense
+        _assert_same_arrays(got, algebra._group_sorted(values))
+
+    def test_group_span_at_limit_is_dense(self, monkeypatch):
+        self.check_group(monkeypatch, np.array([0, 3], dtype=np.int64),
+                         dense=True)
+
+    def test_group_span_just_over_limit_falls_back(self, monkeypatch):
+        self.check_group(monkeypatch, np.array([0, 4], dtype=np.int64),
+                         dense=False)
+
+    def test_group_nil_sentinel_falls_back(self, monkeypatch):
+        values = np.array([1, INT.nil, 2, 1], dtype=np.int32)
+        self.check_group(monkeypatch, values, dense=False)
+
+    def test_group_float_and_bool_fall_back(self, monkeypatch):
+        for values in (np.array([1.0, 2.0, 1.0]),
+                       np.array([True, False, True])):
+            self.check_group(monkeypatch, values, dense=False)
+
+    def test_group_refinement_sorts(self, monkeypatch):
+        dense_calls = self.spy(monkeypatch, "_group_dense")
+        gids = np.array([0, 0, 1, 1], dtype=np.int64)
+        values = np.array([9, 8, 9, 9], dtype=np.int64)
+        _, _, hist = algebra.group_arrays(values, gids)
+        assert not dense_calls
+        assert hist.tolist() == [1, 1, 2]
+
+    def check_join(self, monkeypatch, ltail, rtail, dense):
+        sorted_calls = self.spy(monkeypatch, "_join_positions_sorted")
+        got = algebra._join_positions_fixed(ltail, rtail)
+        assert bool(sorted_calls) != dense
+        _assert_same_arrays(got, algebra._join_positions_sorted(ltail, rtail))
+
+    def test_join_key_build_side_is_dense(self, monkeypatch):
+        self.check_join(monkeypatch, np.array([3, 0, 7, 3]),
+                        np.array([3, 0, 1, 2]), dense=True)
+
+    def test_join_span_just_over_limit_falls_back(self, monkeypatch):
+        self.check_join(monkeypatch, np.array([3, 0, 4, 3]),
+                        np.array([4, 0]), dense=False)
+
+    def test_join_non_unique_build_side_falls_back(self, monkeypatch):
+        self.check_join(monkeypatch, np.array([1, 2, 1]),
+                        np.array([1, 1, 2]), dense=False)
+
+    def test_join_nil_in_build_side_falls_back(self, monkeypatch):
+        self.check_join(monkeypatch, np.array([1, 2], dtype=np.int32),
+                        np.array([2, INT.nil, 1], dtype=np.int32),
+                        dense=False)
+
+    def test_join_float_or_bool_falls_back(self, monkeypatch):
+        self.check_join(monkeypatch, np.array([1.0, 2.0]),
+                        np.array([2.0, 1.0]), dense=False)
+        self.check_join(monkeypatch, np.array([1, 2]),
+                        np.array([2.0, 1.0]), dense=False)
+        self.check_join(monkeypatch, np.array([True, False]),
+                        np.array([1, 0]), dense=False)
