@@ -48,14 +48,6 @@ _NP_BINOP = {
     "<=": "np.less_equal", ">": "np.greater", ">=": "np.greater_equal",
 }
 
-_PY_BINOP = {
-    "+": "({0} + {1})", "-": "({0} - {1})", "*": "({0} * {1})",
-    "/": "({0} / {1})", "%": "({0} % {1})",
-    "==": "({0} == {1})", "!=": "({0} != {1})", "<": "({0} < {1})",
-    "<=": "({0} <= {1})", ">": "({0} > {1})", ">=": "({0} >= {1})",
-    "and": "(bool({0}) and bool({1}))", "or": "(bool({0}) or bool({1}))",
-}
-
 _ARITH = frozenset("+-*/%")
 _COMPARE = frozenset(("==", "!=", "<", "<=", ">", ">="))
 _LOGIC = frozenset(("and", "or"))
@@ -592,20 +584,14 @@ class _Emitter:
                     repr(nil))
 
     def _emit_calc(self, index, instr):
+        """Scalar ``calc.*``: a call into the shared scalar operator
+        table (NULL propagation, zero divisors), as the interpreter's
+        kernel makes it."""
         op = instr.op[len("calc."):]
-        out = instr.results[0]
-        a = instr.args
-        if op == "not":
-            self.ln("{0} = not {1}", self.vname(out),
-                    self.value_expr(index, 0, a[0]))
-            return
-        if op == "isnil":
-            self.ln("{0} = {1} is None", self.vname(out),
-                    self.value_expr(index, 0, a[0]))
-            return
-        self.ln("{0} = " + _PY_BINOP[op], self.vname(out),
-                self.value_expr(index, 0, a[0]),
-                self.value_expr(index, 1, a[1]))
+        args = [self.value_expr(index, i, arg)
+                for i, arg in enumerate(instr.args)]
+        self.ln("{0} = rt.SCALAR_OPS[{1!r}]({2})",
+                self.vname(instr.results[0]), op, ", ".join(args))
 
     def _atom_ref(self, vt):
         return "rt.ATOMS[{0!r}]".format(vt.atom.name)

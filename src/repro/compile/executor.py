@@ -12,6 +12,8 @@ interpreter; compiled execution is an optimization, never a
 correctness dependency.
 """
 
+import numpy as np
+
 from repro.compile import runtime as rt
 from repro.compile.cache import KernelCache
 from repro.compile.codegen import (CompileUnsupported, FragmentSpec,
@@ -207,7 +209,9 @@ class PlanCompiler:
                 args = [ctx, P]
                 for dense, vt in segment.live_in:
                     args.extend(_pack_live_in(env[names[dense]], vt))
-                results = plan.functions[segment.name](*args)
+                # Zero divisors warn nowhere, as in algebra.calc.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    results = plan.functions[segment.name](*args)
                 tuples = _unpack_live_out(segment.live_out, results,
                                           names, env)
                 live_out = [env[names[dense]]

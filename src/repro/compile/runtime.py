@@ -24,6 +24,7 @@ from repro.core.algebra import group_arrays
 from repro.core.atoms import _ATOMS, BIT, DBL, LNG, OID, STR
 from repro.core.bat import BAT
 from repro.core.heap import StringHeap
+from repro.core.scalar import SCALAR_OPS  # noqa: F401  (rt.SCALAR_OPS)
 from repro.mal.interpreter import CPU_CYCLES_PER_TUPLE, DISPATCH_CYCLES
 
 #: Atom registry for generated source (``rt.ATOMS['lng']``).

@@ -633,7 +633,9 @@ def calc(op, left, right):
     lval = _operand_array(left)
     rval = _operand_array(right)
     if op in _ARITH:
-        result = _ARITH[op](lval, rval)
+        # A zero divisor yields inf/nan (or 0 for integer %), silently.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            result = _ARITH[op](lval, rval)
         if result.dtype.kind == "f":
             return BAT(DBL, result.astype(np.float64))
         return BAT(LNG, result.astype(np.int64))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from repro.core import algebra
 from repro.core.bat import BAT
+from repro.core.scalar import SCALAR_OPS
 
 
 @dataclass(frozen=True)
@@ -113,28 +114,9 @@ register("batcalc.ifthenelse", algebra.ifthenelse)
 
 # -- scalar calculations (fold-able by the constant-folding optimizer) --------
 
-import operator as _operator
-
-_SCALAR_OPS = {
-    "+": _operator.add,
-    "-": _operator.sub,
-    "*": _operator.mul,
-    "/": _operator.truediv,
-    "%": _operator.mod,
-    "==": _operator.eq,
-    "!=": _operator.ne,
-    "<": _operator.lt,
-    "<=": _operator.le,
-    ">": _operator.gt,
-    ">=": _operator.ge,
-    "and": lambda a, b: bool(a) and bool(b),
-    "or": lambda a, b: bool(a) or bool(b),
-}
-
-for _name, _fn in _SCALAR_OPS.items():
-    register("calc." + _name, _fn)
-register("calc.not", lambda a: not a)
-register("calc.isnil", lambda a: a is None)
+for _op in ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=",
+            "and", "or", "not", "isnil"):
+    register("calc." + _op, SCALAR_OPS[_op])
 
 # -- structural BAT operations ----------------------------------------------------------
 

@@ -7,6 +7,9 @@ is compiled into N per-worker pull-based vectorized pipelines — a
 broadcast hash joins, vectorized filters, and per-worker *partial*
 aggregation — merged by an :class:`~repro.parallel.exchange.Exchange`
 and finished serially (final aggregation, DISTINCT, ORDER BY, LIMIT).
+The split into partials and the finish are the shard coordinator's
+(:mod:`repro.sql.partials`): a worker's output is to the morsel engine
+what a shard's leg result is to the coordinator.
 
 Queries the parallel compiler cannot express raise
 :class:`ParallelUnsupported`; the caller (``Database.execute``) falls
@@ -15,11 +18,10 @@ run — only how.  Answers are the same *multiset* as the serial engine's
 (union order differs; compare with ``tests.helpers.assert_same_rows``).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.algebra import order_rows
 from repro.faults import NO_FAULTS
 from repro.governance.context import CHECK_MORSEL, NO_GOVERNANCE
 from repro.observability.tracer import NO_TRACE, Tracer
@@ -27,7 +29,12 @@ from repro.parallel.context import WorkerSet
 from repro.parallel.exchange import Exchange, MorselScan
 from repro.parallel.morsels import DEFAULT_MORSEL_SIZE, MorselScheduler
 from repro.sql.ast import (
-    BinOp, Column, FuncCall, Literal, Select, Star, UnaryOp,
+    BinOp, Column, IsNull, Literal, Select, Star, UnaryOp,
+    contains_aggregate, expand_items, split_conjuncts,
+)
+from repro.sql.partials import (
+    Undecomposable, merge_aggregates, merge_rows, output_position,
+    split_aggregates, split_rows,
 )
 from repro.vectorized import expressions as vexpr
 from repro.vectorized.operators import (
@@ -40,6 +47,7 @@ from repro.vectorized.operators import (
     VectorSelect,
     VectorScan,
 )
+from repro.vectorized.vector import Batch, concat_batches
 
 _SQL_TO_VECTOR_OP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=",
                      ">": ">", ">=": ">=", "+": "+", "-": "-", "*": "*",
@@ -165,10 +173,14 @@ class ParallelSelectExecutor:
         for join in select.joins:
             joins.append(self._prepare_join(join, scope, tables))
 
-        grouped = bool(select.group_by)
-        has_aggs = grouped or any(
-            _contains_aggregate(item.expr) for item in select.items)
-        items = self._expand_items(select, scope)
+        has_aggs = bool(select.group_by) or any(
+            contains_aggregate(item.expr) for item in select.items)
+        try:
+            items = expand_items(select.items,
+                                 [(b.alias, b.columns)
+                                  for b in scope.bindings])
+        except LookupError as exc:
+            raise ParallelUnsupported(exc.args[0]) from None
 
         worker_set = WorkerSet(self.workers, profile=self.smp_profile,
                                vector_size=self.vector_size)
@@ -184,16 +196,15 @@ class ParallelSelectExecutor:
                                     stealing=not has_aggs)
 
         self.failures = []
-        if grouped:
-            names, columns = self._run_grouped(
-                select, items, scope, tables, joins, worker_set, scheduler)
-        elif has_aggs:
-            names, columns = self._run_scalar_aggregates(
-                select, items, scope, tables, joins, worker_set, scheduler)
-        else:
-            names, columns = self._run_projection(
-                select, items, scope, tables, joins, worker_set, scheduler)
-        return ParallelResult(names, columns, worker_set, scheduler,
+        run = self._run_aggregates if has_aggs else self._run_projection
+        # Zero divisors warn nowhere, as in algebra.calc.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = run(select, items, scope, tables, joins, worker_set,
+                       scheduler)
+        columns = [list(column) for column in zip(*rows)] if rows \
+            else [[] for _ in items]
+        return ParallelResult([name for name, _ in items], columns,
+                              worker_set, scheduler,
                               failures=list(self.failures))
 
     # -- FROM/JOIN preparation ------------------------------------------------
@@ -242,7 +253,7 @@ class ParallelSelectExecutor:
         binding = self._open(join.table, scope, tables)
         equi = None
         residual = []
-        for conjunct in _split_conjuncts(join.condition):
+        for conjunct in split_conjuncts(join.condition):
             pair = self._equi_pair(conjunct, binding, scope)
             if pair is not None and equi is None:
                 equi = pair
@@ -280,7 +291,7 @@ class ParallelSelectExecutor:
         for _, _, _, residual in joins:
             filters.extend(residual)
         if select.where is not None:
-            filters.extend(_split_conjuncts(select.where))
+            filters.extend(split_conjuncts(select.where))
         predicates = [self._vector_expr(f, scope) for f in filters]
         if self.compiler is not None and len(predicates) > 1:
             from repro.compile.vectorized import compile_predicates
@@ -326,26 +337,6 @@ class ParallelSelectExecutor:
             return vexpr.BinExpr(op, self._vector_expr(expr.left, scope),
                                  self._vector_expr(expr.right, scope))
         raise ParallelUnsupported("expression {0!r}".format(expr))
-
-    def _expand_items(self, select, scope):
-        """Select items with Star expanded: [(output name, expr)]."""
-        items = []
-        for item in select.items:
-            if isinstance(item.expr, Star):
-                bindings = scope.bindings
-                if item.expr.table is not None:
-                    bindings = [b for b in bindings
-                                if b.alias == item.expr.table]
-                    if not bindings:
-                        raise ParallelUnsupported("unknown table {0!r}"
-                                                  .format(item.expr.table))
-                for binding in bindings:
-                    for column in binding.columns:
-                        items.append((column, Column(column, binding.alias)))
-            else:
-                items.append((item.alias or _default_name(item.expr),
-                              item.expr))
-        return items
 
     def _run_exchange(self, factory, worker_set, scheduler):
         """Drive an Exchange over all workers; returns the batches.
@@ -397,157 +388,111 @@ class ParallelSelectExecutor:
 
     def _run_projection(self, select, items, scope, tables, joins,
                         worker_set, scheduler):
+        try:
+            plan, hidden = split_rows(select, items)
+        except Undecomposable as exc:
+            raise ParallelUnsupported(str(exc)) from None
+        exprs = [expr for _, expr in items] + hidden
+        outputs = {"c{0}".format(i): self._vector_expr(expr, scope)
+                   for i, expr in enumerate(exprs)}
         source = self._source_factory(select, scope, tables, joins)
-        outputs = {}
-        for i, (_, expr) in enumerate(items):
-            outputs["c{0}".format(i)] = self._vector_expr(expr, scope)
-        order_keys = self._projection_order_keys(select, items, scope,
-                                                 outputs)
 
         def factory(ctx, sched, worker):
             return VectorProject(ctx, source(ctx, sched, worker),
                                  dict(outputs))
 
-        batches = self._run_exchange(factory, worker_set, scheduler)
-        arrays = _concat(batches, list(outputs))
-        rows = list(zip(*[arrays[c].tolist() for c in
-                          ["c{0}".format(i) for i in range(len(items))]])) \
-            if len(items) and len(arrays["c0"]) else []
-        key_rows = None
-        if select.order_by:
-            key_rows = list(zip(*[arrays[k].tolist() for k in order_keys])) \
-                if rows else []
-        names = [name for name, _ in items]
-        rows = self._finish_rows(select, rows, key_rows)
-        return names, _rows_to_columns(rows, len(items))
+        arrays = concat_batches(
+            self._run_exchange(factory, worker_set, scheduler))
+        rows = list(zip(*[arrays[name].tolist() for name in outputs])) \
+            if arrays else []
+        return merge_rows(plan, [rows])
 
-    def _projection_order_keys(self, select, items, scope, outputs):
-        """ORDER BY keys for a plain projection: reuse an output column
-        when the item names or equals one, else add a hidden output."""
-        keys = []
-        names = [name for name, _ in items]
-        for j, order in enumerate(select.order_by):
-            expr = order.expr
-            if isinstance(expr, Column) and expr.table is None \
-                    and expr.name in names:
-                keys.append("c{0}".format(names.index(expr.name)))
-                continue
-            matched = None
-            for i, (_, item_expr) in enumerate(items):
-                if repr(item_expr) == repr(expr):
-                    matched = "c{0}".format(i)
-                    break
-            if matched is not None:
-                keys.append(matched)
-                continue
-            hidden = "o{0}".format(j)
-            outputs[hidden] = self._vector_expr(expr, scope)
-            keys.append(hidden)
-        return keys
+    # -- aggregation ----------------------------------------------------------
 
-    def _finish_rows(self, select, rows, key_rows):
-        """Serial finish: DISTINCT, ORDER BY, LIMIT on python rows."""
-        if select.distinct:
-            if key_rows is None:
-                rows = _distinct(rows)
-            else:
-                pairs = _distinct_pairs(rows, key_rows)
-                rows = [r for r, _ in pairs]
-                key_rows = [k for _, k in pairs]
-        if select.order_by:
-            ascending = [o.ascending for o in select.order_by]
-            order = order_rows(range(len(rows)),
-                               lambda i, k: key_rows[i][k], ascending)
-            rows = [rows[i] for i in order]
-        if select.limit is not None:
-            rows = rows[:select.limit]
-        return rows
-
-    # -- scalar aggregation ---------------------------------------------------
-
-    def _run_scalar_aggregates(self, select, items, scope, tables, joins,
-                               worker_set, scheduler):
-        aggs = _AggregateSet(self, scope, self._probe_dtypes(tables))
-        for _, expr in items:
-            aggs.collect(expr)
+    def _run_aggregates(self, select, items, scope, tables, joins,
+                        worker_set, scheduler):
+        """Workers compute the decomposed partials; the finish merges
+        them exactly as the shard coordinator merges its legs'."""
+        if select.group_by:
+            if len(select.group_by) != 1 or \
+                    not isinstance(select.group_by[0], Column):
+                raise ParallelUnsupported("parallel plans group by exactly "
+                                          "one plain column")
+            if any(output_position(order.expr, items) is None
+                   for order in select.order_by):
+                raise ParallelUnsupported(
+                    "grouped ORDER BY must name an output")
+        else:
+            # One output row, which the serial engine returns whatever
+            # HAVING, ORDER BY, DISTINCT or LIMIT say.
+            select = replace(select, having=None, order_by=[],
+                             distinct=False, limit=None)
+        if any(_has_is_null(expr) for _, expr in items) or \
+                _has_is_null(select.having):
+            raise ParallelUnsupported("IS NULL over aggregates")
+        try:
+            plan = split_aggregates(select, items)
+        except Undecomposable as exc:
+            raise ParallelUnsupported(
+                "undecomposable {0!r}".format(exc.args[0])) from None
+        probe = self._probe_dtypes(tables)
+        spec = {}
+        as_int = set()
+        for i, (kind, call) in enumerate(plan.partials):
+            name = "p{0}".format(i)
+            value = self._aggregate_input(call, scope)
+            dtype = np.asarray(value(probe)).dtype.kind
+            if kind != "count" and dtype not in "iuf":
+                raise ParallelUnsupported(
+                    "{0} over non-numeric input".format(call.name))
+            spec[name] = (kind, value)
+            if kind != "count" and dtype in "iu":
+                # Partials accumulate in float64; the serial engine
+                # answers integer sums and extrema as integers.
+                as_int.add(name)
         source = self._source_factory(select, scope, tables, joins)
-        spec = aggs.partial_spec()
+        names = list(spec)
+        if select.group_by:
+            names.insert(0, scope.qualify(select.group_by[0]))
 
-        def factory(ctx, sched, worker):
-            return ScalarVectorAggregate(ctx, source(ctx, sched, worker),
-                                         dict(spec))
+            def factory(ctx, sched, worker):
+                return VectorAggregate(ctx, source(ctx, sched, worker),
+                                       group_key=names[0],
+                                       aggregates=dict(spec))
+        else:
+            spec["rows"] = ("count", vexpr.Const(0))
 
-        batches = self._run_exchange(factory, worker_set, scheduler)
-        partials = _concat(batches, list(spec))
-        finals = aggs.finalize_scalar(partials)
-        row = tuple(_finish_value(_eval_item(expr, finals))
-                    for _, expr in items)
-        names = [name for name, _ in items]
-        return names, _rows_to_columns([row], len(items))
+            def factory(ctx, sched, worker):
+                return ScalarVectorAggregate(
+                    ctx, source(ctx, sched, worker), dict(spec))
 
-    # -- grouped aggregation --------------------------------------------------
+        arrays = concat_batches(
+            self._run_exchange(factory, worker_set, scheduler))
+        if not select.group_by and arrays:
+            # A worker that saw no rows ships no partial row — as if
+            # every partial it shipped were None.
+            seen = arrays["rows"] > 0
+            arrays = {name: arrays[name][seen] for name in names}
+        columns = [arrays[name].astype(np.int64).tolist()
+                   if name in as_int else arrays[name].tolist()
+                   for name in names] if arrays else []
+        return merge_aggregates(plan, [list(zip(*columns))])
 
-    def _run_grouped(self, select, items, scope, tables, joins,
-                     worker_set, scheduler):
-        if len(select.group_by) != 1 or \
-                not isinstance(select.group_by[0], Column):
-            raise ParallelUnsupported("parallel plans group by exactly "
-                                      "one plain column")
-        group_expr = select.group_by[0]
-        group_key = scope.qualify(group_expr)
-        group_repr = repr(group_expr)
-
-        aggs = _AggregateSet(self, scope, self._probe_dtypes(tables))
-        for _, expr in items:
-            aggs.collect(expr, skip_reprs=(group_repr,))
-        if select.having is not None:
-            aggs.collect(select.having, skip_reprs=(group_repr,))
-        source = self._source_factory(select, scope, tables, joins)
-        spec = aggs.partial_spec()
-
-        def factory(ctx, sched, worker):
-            return VectorAggregate(ctx, source(ctx, sched, worker),
-                                   group_key=group_key,
-                                   aggregates=dict(spec))
-
-        batches = self._run_exchange(factory, worker_set, scheduler)
-        partials = _concat(batches, [group_key] + list(spec))
-        groups = aggs.finalize_grouped(partials, group_key, group_repr)
-
-        if select.having is not None:
-            groups = [g for g in groups
-                      if bool(_eval_item(select.having, g))]
-        rows = [tuple(_finish_value(_eval_item(expr, g))
-                      for _, expr in items) for g in groups]
-        key_rows = None
-        if select.order_by:
-            key_rows = []
-            names = [name for name, _ in items]
-            for g, row in zip(groups, rows):
-                key = []
-                for order in select.order_by:
-                    expr = order.expr
-                    if isinstance(expr, Column) and expr.table is None \
-                            and expr.name in names:
-                        key.append(row[names.index(expr.name)])
-                    else:
-                        matched = [i for i, (_, e) in enumerate(items)
-                                   if repr(e) == repr(expr)]
-                        if not matched:
-                            raise ParallelUnsupported(
-                                "grouped ORDER BY must name an output")
-                        key.append(row[matched[0]])
-                key_rows.append(tuple(key))
-        names = [name for name, _ in items]
-        rows = self._finish_rows(select, rows, key_rows)
-        return names, _rows_to_columns(rows, len(items))
+    def _aggregate_input(self, call, scope):
+        """The vector expression one aggregate call consumes."""
+        if len(call.args) == 1 and isinstance(call.args[0], Star):
+            if call.name != "count":
+                raise ParallelUnsupported("* only valid in count(*)")
+            return vexpr.Const(0)
+        if len(call.args) != 1:
+            raise ParallelUnsupported("aggregates take one argument")
+        return self._vector_expr(call.args[0], scope)
 
     # -- type probing ---------------------------------------------------------
 
     def _probe_dtypes(self, tables):
         """A zero-length batch with every qualified column's dtype, for
         deciding aggregate result types exactly like the serial kernel."""
-        from repro.vectorized.vector import Batch
         empty = {}
         for arrays in tables.values():
             for name, values in arrays.items():
@@ -555,221 +500,13 @@ class ParallelSelectExecutor:
         return Batch(empty)
 
 
-# -- aggregate bookkeeping ----------------------------------------------------
-
-class _AggregateSet:
-    """The distinct aggregate calls of one SELECT, with their partial
-    decomposition (sum+count / min / max) and final combination rules
-    matching the serial kernel's result types and empty-input nils.
-
-    ``probe`` is a zero-length batch carrying every qualified column's
-    dtype: aggregate inputs are type-checked against it (non-numeric
-    inputs keep the serial path, whose min/max order strings) and the
-    input dtype decides int-vs-float finals like the serial kernel.
-    """
-
-    def __init__(self, executor, scope, probe):
-        self.executor = executor
-        self.scope = scope
-        self.probe = probe
-        self.calls = {}     # repr -> (tag, FuncCall, input dtype kind)
-        self._next = 0
-
-    def collect(self, expr, skip_reprs=()):
-        if repr(expr) in skip_reprs:
-            return
-        if isinstance(expr, FuncCall):
-            if not expr.is_aggregate:
-                raise ParallelUnsupported("function {0!r}".format(expr.name))
-            if expr.distinct:
-                raise ParallelUnsupported("DISTINCT aggregates")
-            key = repr(expr)
-            if key not in self.calls:
-                kind = self._input_dtype_kind(expr)
-                if expr.name != "count" and kind not in "iuf":
-                    raise ParallelUnsupported(
-                        "{0} over non-numeric input".format(expr.name))
-                self.calls[key] = ("a{0}".format(self._next), expr, kind)
-                self._next += 1
-            return
-        if isinstance(expr, BinOp):
-            self.collect(expr.left, skip_reprs)
-            self.collect(expr.right, skip_reprs)
-            return
-        if isinstance(expr, UnaryOp):
-            self.collect(expr.operand, skip_reprs)
-            return
-        if isinstance(expr, (Literal, Column)):
-            return
-        raise ParallelUnsupported("expression {0!r}".format(expr))
-
-    def _input_expr(self, call):
-        if len(call.args) == 1 and isinstance(call.args[0], Star):
-            if call.name != "count":
-                raise ParallelUnsupported("* only valid in count(*)")
-            return vexpr.Const(0)
-        if len(call.args) != 1:
-            raise ParallelUnsupported("aggregates take one argument")
-        return self.executor._vector_expr(call.args[0], self.scope)
-
-    def _input_dtype_kind(self, call):
-        if len(call.args) == 1 and isinstance(call.args[0], Star):
-            return "i"
-        return np.asarray(self._input_expr(call)(self.probe)).dtype.kind
-
-    def partial_spec(self):
-        """{partial name: (kind, vector expr)} for the worker plans."""
-        spec = {}
-        for tag, call, _ in self.calls.values():
-            value = self._input_expr(call)
-            if call.name in ("sum", "avg"):
-                spec[tag + "_sum"] = ("sum", value)
-                spec[tag + "_cnt"] = ("count", value)
-            elif call.name == "count":
-                spec[tag + "_cnt"] = ("count", value)
-            else:  # min / max
-                spec[tag + "_" + call.name] = (call.name, value)
-                spec[tag + "_cnt"] = ("count", value)
-        return spec
-
-    def finalize_scalar(self, partials):
-        """Combine per-worker scalar partials into final values."""
-        finals = {}
-        for key, (tag, call, kind) in self.calls.items():
-            count = int(partials[tag + "_cnt"].sum())
-            finals[key] = self._combine(call, kind, count, partials, tag)
-        return finals
-
-    def _combine(self, call, kind, count, parts, tag):
-        if call.name == "count":
-            return count
-        if count == 0:
-            return None
-        if call.name == "sum":
-            total = float(parts[tag + "_sum"].sum())
-            return int(total) if kind in "iu" else total
-        if call.name == "avg":
-            return float(parts[tag + "_sum"].sum()) / count
-        if call.name == "min":
-            value = float(np.nanmin(parts[tag + "_min"]))
-        else:
-            value = float(np.nanmax(parts[tag + "_max"]))
-        return int(value) if kind in "iu" else value
-
-    def finalize_grouped(self, partials, group_key, group_repr):
-        """Combine per-worker grouped partials; one finals dict per
-        group mapping the group-key repr and every aggregate's repr to
-        its final value (ready for :func:`_eval_item`)."""
-        keys = partials[group_key]
-        order = {}
-        for position, key in enumerate(keys.tolist()):
-            order.setdefault(key, []).append(position)
-        groups = []
-        for key, positions in order.items():
-            final = {group_repr: key}
-            idx = np.asarray(positions, dtype=np.int64)
-            for call_repr, (tag, call, kind) in self.calls.items():
-                count = int(partials[tag + "_cnt"][idx].sum())
-                parts = {name: partials[name][idx] for name in partials
-                         if name.startswith(tag + "_")}
-                final[call_repr] = self._combine(call, kind, count,
-                                                 parts, tag)
-            groups.append(final)
-        return groups
-
-
-# -- finish-phase expression evaluation ---------------------------------------
-
-def _eval_item(expr, finals):
-    """Evaluate a select item at finish time.  ``finals`` maps the repr
-    of every aggregate call (and, for grouped queries, of the group-key
-    expression) to its final value; arithmetic runs through the same
-    numpy ops as the serial calc kernel so result types match."""
-    key = repr(expr)
-    if key in finals:
-        return finals[key]
-    if isinstance(expr, Literal):
-        return expr.value
+def _has_is_null(expr):
+    """True for an IS NULL outside aggregate arguments: the serial
+    engine rejects it over aggregates, so the morsel engine declines."""
+    if isinstance(expr, IsNull):
+        return True
     if isinstance(expr, BinOp):
-        left = _eval_item(expr.left, finals)
-        right = _eval_item(expr.right, finals)
-        if left is None or right is None:
-            return None
-        op = _SQL_TO_VECTOR_OP.get(expr.op)
-        if op is None:
-            raise ParallelUnsupported("operator {0!r}".format(expr.op))
-        return vexpr._OPS[op](left, right)
+        return _has_is_null(expr.left) or _has_is_null(expr.right)
     if isinstance(expr, UnaryOp):
-        operand = _eval_item(expr.operand, finals)
-        if operand is None:
-            return None
-        if expr.op == "not":
-            return np.logical_not(operand)
-        if expr.op == "-":
-            return np.negative(operand)
-    raise ParallelUnsupported("expression {0!r}".format(expr))
-
-
-def _finish_value(value):
-    """numpy scalar -> plain python value (ResultSet convention)."""
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-# -- small helpers ------------------------------------------------------------
-
-def _split_conjuncts(expr):
-    if isinstance(expr, BinOp) and expr.op == "and":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
-
-
-def _contains_aggregate(expr):
-    from repro.sql.ast import contains_aggregate
-    return contains_aggregate(expr)
-
-
-def _default_name(expr):
-    if isinstance(expr, Column):
-        return expr.name
-    if isinstance(expr, FuncCall):
-        if len(expr.args) == 1 and isinstance(expr.args[0], Column):
-            return "{0}_{1}".format(expr.name, expr.args[0].name)
-        return expr.name
-    return "expr"
-
-
-def _concat(batches, names):
-    """Union batches into {name: array}, empty arrays when no rows."""
-    from repro.vectorized.vector import concat_batches
-    arrays = concat_batches(batches)
-    if not arrays:
-        return {name: np.empty(0) for name in names}
-    return arrays
-
-
-def _rows_to_columns(rows, width):
-    if not rows:
-        return [[] for _ in range(width)]
-    return [list(column) for column in zip(*rows)]
-
-
-def _distinct(rows):
-    seen = set()
-    out = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
-
-
-def _distinct_pairs(rows, key_rows):
-    seen = set()
-    out = []
-    for row, key in zip(rows, key_rows):
-        if row not in seen:
-            seen.add(row)
-            out.append((row, key))
-    return out
+        return _has_is_null(expr.operand)
+    return False

@@ -301,8 +301,7 @@ class Session:
         if self.txn is None:
             return self._backend.autocommit(self, statement, sql,
                                             workers, context=context)
-        result = self.txn.execute(
-            sql if isinstance(sql, str) else statement, context=context)
+        result = self.txn.execute(statement, context=context)
         recorder = self._manager.recorder
         if recorder is not None:
             text = sql if isinstance(sql, str) else repr(statement)

@@ -18,7 +18,6 @@ from repro.sharding.coordinator import (
     ACK_SITE, SHIP_SITE, ShardNode, ShardedDatabase, ShardingStats,
     ShardUnavailableError,
 )
-from repro.sharding.merge import MergeError
 from repro.sharding.partition import ShardMap, partition_hash
 from repro.sharding.planner import (
     ScatterPlan, ShardPlanError, ShardSchema, TableInfo, plan_select,
@@ -28,6 +27,7 @@ from repro.sharding.resharding import (
     ReshardingError, ReshardingStats, StaleEpochError,
 )
 from repro.sharding.twopc import ShardedTransaction
+from repro.sql.partials import MergeError
 
 __all__ = [
     "ACK_SITE",

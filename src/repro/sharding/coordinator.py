@@ -528,7 +528,8 @@ class ShardedDatabase:
         if plan.kind == "scatter":
             lines.append("  mode: {0}".format(plan.mode))
             if plan.mode == "agg":
-                lines.append("  partials: {0}".format(plan.partial_kinds))
+                lines.append("  partials: {0}".format(
+                    plan.merge.partial_kinds))
             lines.append("  shard select: {0!r}".format(plan.shard_select))
         if plan.kind == "gather":
             lines.append("  ships: {0}".format(
@@ -661,7 +662,7 @@ class ShardedDatabase:
                 raise
             if plan.mode == "rows":
                 rows = merge_rows(plan, [r.rows() for r in results])
-                names = results[0].names[:plan.n_items]
+                names = results[0].names[:plan.merge.n_items]
             else:
                 rows = merge_aggregates(plan, [r.rows() for r in results])
                 names = plan.item_names

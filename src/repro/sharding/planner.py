@@ -12,37 +12,35 @@ engine on its fragment) plus a merge recipe.  Three plan kinds:
     bit-identical to the single-node engine.
 
 ``scatter``
-    Every shard runs a rewritten SELECT; the coordinator merges.
-    Plain projections concatenate (with hidden order-key columns so
-    ORDER BY can be re-established after the nondeterministic
-    interleave); aggregates are decomposed into per-shard partials —
-    COUNT/SUM/MIN/MAX ship as-is, AVG ships as SUM+COUNT — recombined
-    group-by-group at the coordinator, where HAVING / ORDER BY / LIMIT
-    / DISTINCT then apply.
+    Every shard runs a rewritten SELECT; the coordinator merges.  The
+    split and the merge are the ones the morsel engine uses
+    (:mod:`repro.sql.partials`): plain projections concatenate (with
+    hidden order-key columns so ORDER BY can be re-established after
+    the nondeterministic interleave); aggregates are decomposed into
+    per-shard partials — COUNT/SUM/MIN/MAX ship as-is, AVG ships as
+    SUM+COUNT — recombined group-by-group at the coordinator, where
+    HAVING / ORDER BY / LIMIT / DISTINCT then apply.
 
 ``gather``
     The undecomposable remainder (DISTINCT aggregates, non-co-
-    partitioned joins, expressions the decomposer cannot split): ship
-    every referenced fragment to a scratch single-node database and run
-    the original AST there.  Always correct, never fast — the measured
-    price of a bad partitioning key (experiment E21).
+    partitioned joins, expressions the decomposer cannot split, shapes
+    the single-node compiler rejects): ship every referenced fragment
+    to a scratch single-node database and run the original AST there.
+    Always correct, never fast — the measured price of a bad
+    partitioning key (experiment E21).
 """
 
 from dataclasses import dataclass, field
 
 from repro.sql.ast import (
-    BinOp, Column, FuncCall, IsNull, Literal, Select, SelectItem,
-    UnaryOp, contains_aggregate,
+    BinOp, Column, Literal, Select, SelectItem, contains_aggregate,
+    expand_items, split_conjuncts,
 )
-from repro.sql.compiler import _default_name
+from repro.sql.partials import Undecomposable, split_aggregates, split_rows
 
 
 class ShardPlanError(Exception):
     """The statement cannot be planned against this shard schema."""
-
-
-class Undecomposable(Exception):
-    """An aggregate shape with no partial/combine split (internal)."""
 
 
 @dataclass
@@ -86,34 +84,6 @@ class ShardSchema:
         return name in self.tables
 
 
-# -- merge-expression leaves --------------------------------------------------
-#
-# Merge recipes reuse the SQL AST's operator nodes (BinOp/UnaryOp/
-# IsNull/Literal) with three extra leaf kinds below; repro.sharding.merge
-# evaluates them per merged group.
-
-@dataclass(frozen=True)
-class GroupCol:
-    """A group-key column of the per-shard result (position ``index``)."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class Partial:
-    """A combined partial-aggregate value (position ``index``)."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class AvgOf:
-    """AVG recombined from a SUM partial and a COUNT partial."""
-
-    sum_index: int
-    count_index: int
-
-
 @dataclass
 class ScatterPlan:
     """One planned distributed SELECT (see the module docstring)."""
@@ -125,28 +95,11 @@ class ScatterPlan:
     pruned: bool = False       # a key-equality conjunct cut the fan-out
     shard_select: object = None
     mode: str = None           # scatter flavour: 'rows' | 'agg'
-    # rows mode: shard result = items ++ hidden order-key columns
-    n_items: int = 0
-    order_columns: list = field(default_factory=list)  # [(index, asc)]
-    # agg mode: shard result = group keys ++ partials
-    n_group: int = 0
-    partial_kinds: list = field(default_factory=list)  # 'count'|'sum'|...
+    merge: object = None       # scatter: the partials.SplitPlan
     item_names: list = field(default_factory=list)
-    item_exprs: list = field(default_factory=list)     # merge trees
-    having_expr: object = None
-    order_exprs: list = field(default_factory=list)    # [(tree, asc)]
-    distinct: bool = False
-    limit: int = None
 
 
 # -- predicate analysis --------------------------------------------------------
-
-def _conjuncts(expr):
-    """Top-level AND conjuncts of a predicate (the unit of pruning)."""
-    if isinstance(expr, BinOp) and expr.op == "and":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr] if expr is not None else []
-
 
 def _resolve(column, bindings):
     """(binding, TableInfo) a Column refers to, or None if ambiguous."""
@@ -170,7 +123,9 @@ def _is_partition_key(column, bindings):
 
 def _prune_value(where, bindings):
     """The literal a ``partition_key = literal`` conjunct pins, if any."""
-    for conj in _conjuncts(where):
+    if where is None:
+        return (False, None)
+    for conj in split_conjuncts(where):
         if not (isinstance(conj, BinOp) and conj.op == "="):
             continue
         for col, lit in ((conj.left, conj.right), (conj.right, conj.left)):
@@ -190,7 +145,7 @@ def _co_partitioned(select, bindings):
     linked = {partitioned[0]}
     pairs = []
     for join in select.joins:
-        for conj in _conjuncts(join.condition):
+        for conj in split_conjuncts(join.condition):
             if not (isinstance(conj, BinOp) and conj.op == "="):
                 continue
             left, right = conj.left, conj.right
@@ -209,55 +164,6 @@ def _co_partitioned(select, bindings):
                 linked.update((a, b))
                 changed = True
     return set(partitioned) <= linked
-
-
-# -- aggregate decomposition ---------------------------------------------------
-
-_PARTIAL_AGGS = {"count": "count", "sum": "sum", "min": "min",
-                 "max": "max"}
-
-
-class _Decomposer:
-    """Splits aggregate expressions into shard partials + a merge tree."""
-
-    def __init__(self, group_by):
-        self.group_keys = {repr(g): i for i, g in enumerate(group_by)}
-        self.partials = []       # [(kind, shard expr)]
-        self._index = {}         # (kind, repr(expr)) -> partial position
-
-    def _partial(self, kind, expr):
-        key = (kind, repr(expr))
-        if key not in self._index:
-            self._index[key] = len(self.partials)
-            self.partials.append((kind, expr))
-        return self._index[key]
-
-    def decompose(self, expr):
-        key = repr(expr)
-        if key in self.group_keys:
-            return GroupCol(self.group_keys[key])
-        if isinstance(expr, Literal):
-            return expr
-        if isinstance(expr, FuncCall) and expr.is_aggregate:
-            if expr.distinct:
-                raise Undecomposable("DISTINCT aggregate")
-            if expr.name == "avg":
-                arg = expr.args[0]
-                return AvgOf(
-                    self._partial("sum", FuncCall("sum", (arg,))),
-                    self._partial("count", FuncCall("count", (arg,))))
-            kind = _PARTIAL_AGGS.get(expr.name)
-            if kind is None:
-                raise Undecomposable(expr.name)
-            return Partial(self._partial(kind, expr))
-        if isinstance(expr, BinOp):
-            return BinOp(expr.op, self.decompose(expr.left),
-                         self.decompose(expr.right))
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, self.decompose(expr.operand))
-        if isinstance(expr, IsNull):
-            return IsNull(self.decompose(expr.operand))
-        raise Undecomposable(expr)
 
 
 # -- the planner ----------------------------------------------------------------
@@ -287,35 +193,25 @@ def plan_select(schema, select, shard_map):
     shards = list(active)
     if not _co_partitioned(select, bindings):
         return ScatterPlan("gather", shards, select, tables=infos)
-    if select.group_by or any(contains_aggregate(i.expr)
-                              for i in select.items):
-        try:
-            return _plan_aggregate(select, infos, shards)
-        except Undecomposable:
-            return ScatterPlan("gather", shards, select, tables=infos)
-    return _plan_rows(select, infos, shards)
+    try:
+        items = expand_items(select.items,
+                             [(b, info.column_names) for b, info in bindings])
+        if select.group_by or any(contains_aggregate(e) for _, e in items):
+            return _plan_aggregate(select, items, infos, shards)
+        return _plan_rows(select, items, infos, shards)
+    except (LookupError, Undecomposable):
+        return ScatterPlan("gather", shards, select, tables=infos)
 
 
-def _plan_rows(select, infos, shards):
+def _plan_rows(select, items, infos, shards):
     """Plain projection: concatenate shard rows, re-sort on hidden
     order-key columns shipped alongside the visible items."""
-    items = list(select.items)
-    n_items = len(items)
-    order_columns = []
-    item_keys = {repr(i.expr): pos for pos, i in enumerate(select.items)}
-    for order in select.order_by:
-        pos = item_keys.get(repr(order.expr))
-        if pos is None:
-            if select.distinct:
-                # Appending a hidden key would change what DISTINCT
-                # deduplicates; this corner goes through gather.
-                return ScatterPlan("gather", shards, select, tables=infos)
-            pos = len(items)
-            items.append(SelectItem(order.expr,
-                                    "__o{0}".format(len(order_columns))))
-        order_columns.append((pos, order.ascending))
+    merge, hidden = split_rows(select, items)
     shard_select = Select(
-        items=items, table=select.table, joins=list(select.joins),
+        items=list(select.items) + [
+            SelectItem(expr, "__o{0}".format(i))
+            for i, expr in enumerate(hidden)],
+        table=select.table, joins=list(select.joins),
         where=select.where, distinct=select.distinct,
         # ORDER BY + LIMIT push down together (per-shard top-k); a bare
         # LIMIT pushes alone, a bare ORDER BY is wasted shard work.
@@ -323,31 +219,19 @@ def _plan_rows(select, infos, shards):
         limit=select.limit)
     return ScatterPlan(
         "scatter", shards, select, tables=infos, shard_select=shard_select,
-        mode="rows", n_items=n_items, order_columns=order_columns,
-        distinct=select.distinct, limit=select.limit)
+        mode="rows", merge=merge)
 
 
-def _plan_aggregate(select, infos, shards):
+def _plan_aggregate(select, items, infos, shards):
     """Decompose aggregates into shard partials plus a merge recipe."""
-    decomposer = _Decomposer(select.group_by)
-    item_exprs = [decomposer.decompose(i.expr) for i in select.items]
-    having_expr = None if select.having is None \
-        else decomposer.decompose(select.having)
-    order_exprs = [(decomposer.decompose(o.expr), o.ascending)
-                   for o in select.order_by]
-    items = [SelectItem(g, "__g{0}".format(i))
-             for i, g in enumerate(select.group_by)]
-    items += [SelectItem(expr, "__p{0}".format(i))
-              for i, (_, expr) in enumerate(decomposer.partials)]
+    merge = split_aggregates(select, items)
+    shard_items = [SelectItem(g, "__g{0}".format(i))
+                   for i, g in enumerate(select.group_by)]
+    shard_items += [SelectItem(call, "__p{0}".format(i))
+                    for i, (_, call) in enumerate(merge.partials)]
     shard_select = Select(
-        items=items, table=select.table, joins=list(select.joins),
+        items=shard_items, table=select.table, joins=list(select.joins),
         where=select.where, group_by=list(select.group_by))
     return ScatterPlan(
         "scatter", shards, select, tables=infos, shard_select=shard_select,
-        mode="agg", n_group=len(select.group_by),
-        partial_kinds=[kind for kind, _ in decomposer.partials],
-        item_names=[i.alias or _default_name(i.expr)
-                    for i in select.items],
-        item_exprs=item_exprs, having_expr=having_expr,
-        order_exprs=order_exprs, distinct=select.distinct,
-        limit=select.limit)
+        mode="agg", merge=merge, item_names=[name for name, _ in items])

@@ -84,6 +84,48 @@ def contains_aggregate(expr):
     return False
 
 
+def split_conjuncts(expr):
+    """The top-level AND conjuncts of a predicate."""
+    if isinstance(expr, BinOp) and expr.op == "and":
+        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
+    return [expr]
+
+
+def default_name(expr):
+    """The output name of an unaliased select item."""
+    if isinstance(expr, Column):
+        return expr.name
+    if isinstance(expr, FuncCall):
+        if len(expr.args) == 1 and isinstance(expr.args[0], Column):
+            return "{0}_{1}".format(expr.name, expr.args[0].name)
+        return expr.name
+    return "expr"
+
+
+def expand_items(items, bindings):
+    """A select list as ``[(output name, expression)]``, ``*`` expanded.
+
+    ``bindings`` is the FROM clause as ``[(alias, column names)]``.
+    Raises :class:`LookupError` for a ``t.*`` naming no binding and for
+    ``*`` without a FROM table.
+    """
+    out = []
+    for item in items:
+        if not isinstance(item.expr, Star):
+            out.append((item.alias or default_name(item.expr), item.expr))
+            continue
+        table = item.expr.table
+        chosen = [(alias, columns) for alias, columns in bindings
+                  if table in (None, alias)]
+        if not chosen:
+            raise LookupError("unknown table {0!r}".format(table)
+                              if table is not None
+                              else "* without a FROM table")
+        for alias, columns in chosen:
+            out.extend((column, Column(column, alias)) for column in columns)
+    return out
+
+
 # -- statements -----------------------------------------------------------------
 
 @dataclass

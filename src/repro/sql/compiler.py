@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 from repro.sql.ast import (
     BinOp, Column, FuncCall, IsNull, Literal, Select, Star, UnaryOp,
+    contains_aggregate, expand_items, split_conjuncts,
 )
+from repro.sql.partials import output_position
 from repro.mal.ast import Const, MALProgram, Var
 
 _CMP_TO_CALC = {"=": "==", "<>": "!=", "<": "<", "<=": "<=",
@@ -88,12 +90,6 @@ class _Context:
         return matches[0]
 
 
-def _split_conjuncts(expr):
-    if isinstance(expr, BinOp) and expr.op == "and":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
-
-
 def _sargable(expr, ctx):
     """(binding, column, op, literal) for column-vs-literal comparisons."""
     if not isinstance(expr, BinOp) or expr.op not in _CMP_TO_CALC:
@@ -130,7 +126,7 @@ class _SelectCompiler:
             raise SQLCompileError("FROM-less SELECT supports only "
                                   "constant expressions")
         has_aggregates = any(
-            _has_aggregate(item.expr) for item in select.items) or \
+            contains_aggregate(item.expr) for item in select.items) or \
             select.group_by
         if select.group_by:
             names, columns = self._compile_grouped()
@@ -141,7 +137,7 @@ class _SelectCompiler:
         if select.distinct:
             columns = self._compile_distinct(columns)
         if select.order_by:
-            columns = self._compile_order_by(columns, names)
+            columns = self._compile_order_by(columns)
         if select.limit is not None:
             columns = [self.ctx.emit("lim", "bat.slice",
                                      (Var(c), Const(0), Const(select.limit)))
@@ -168,7 +164,7 @@ class _SelectCompiler:
         new_binding = ctx.bindings[-1]
         equi = None
         residual = []
-        for conjunct in _split_conjuncts(join.condition):
+        for conjunct in split_conjuncts(join.condition):
             pair = self._equi_pair(conjunct, new_binding)
             if pair is not None and equi is None:
                 equi = pair
@@ -253,7 +249,7 @@ class _SelectCompiler:
     # -- WHERE -------------------------------------------------------------------
 
     def _compile_where(self, where):
-        conjuncts = _split_conjuncts(where)
+        conjuncts = split_conjuncts(where)
         sargables = []
         residual = []
         for conjunct in conjuncts:
@@ -382,25 +378,12 @@ class _SelectCompiler:
     # -- plain projection ---------------------------------------------------------------
 
     def _expand_items(self):
-        items = []
-        for item in self.select.items:
-            if isinstance(item.expr, Star):
-                bindings = self.ctx.bindings
-                if item.expr.table is not None:
-                    bindings = [b for b in bindings
-                                if b.alias == item.expr.table]
-                    if not bindings:
-                        raise SQLCompileError("unknown table {0!r}".format(
-                            item.expr.table))
-                if not bindings:
-                    raise SQLCompileError("* without a FROM table")
-                for binding in bindings:
-                    for col in binding.columns:
-                        items.append((col, Column(col, binding.alias)))
-            else:
-                items.append((item.alias or _default_name(item.expr),
-                              item.expr))
-        return items
+        try:
+            return expand_items(self.select.items,
+                                [(b.alias, b.columns)
+                                 for b in self.ctx.bindings])
+        except LookupError as exc:
+            raise SQLCompileError(exc.args[0]) from None
 
     def _compile_plain_projection(self):
         names = []
@@ -443,9 +426,10 @@ class _SelectCompiler:
                             (Var(self._aggregate_input(expr)),))
         if isinstance(expr, BinOp):
             left = Var(self._compile_scalar_agg_expr(expr.left)) \
-                if _has_aggregate(expr.left) else self._compile_expr(expr.left)
+                if contains_aggregate(expr.left) \
+                else self._compile_expr(expr.left)
             right = Var(self._compile_scalar_agg_expr(expr.right)) \
-                if _has_aggregate(expr.right) \
+                if contains_aggregate(expr.right) \
                 else self._compile_expr(expr.right)
             op = _CMP_TO_CALC.get(expr.op, expr.op)
             return ctx.emit("agg", "calc." + op, (left, right))
@@ -560,51 +544,37 @@ class _SelectCompiler:
         return [ctx.emit("out", "algebra.leftfetchjoin",
                          (Var(positions), Var(c))) for c in columns]
 
-    def _compile_order_by(self, columns, names):
+    def _compile_order_by(self, columns):
         ctx = self.ctx
         if any(c.startswith("scalar!") for c in columns):
             return columns
         args = []
         for item in self.select.order_by:
-            key_var = self._order_key(item.expr, columns, names)
+            key_var = self._order_key(item.expr, columns)
             args.append(Var(key_var))
             args.append(Const(item.ascending))
         perm = ctx.emit("perm", "algebra.sortmulti", tuple(args))
         return [ctx.emit("out", "algebra.leftfetchjoin",
                          (Var(perm), Var(c))) for c in columns]
 
-    def _order_key(self, expr, columns, names):
+    def _order_key(self, expr, columns):
         # An output column (by alias or identical expression) is reused;
-        # only possible when outputs align with the row-set (no grouping).
-        if isinstance(expr, Column) and expr.table is None \
-                and expr.name in names:
-            return columns[names.index(expr.name)]
-        for item, col in zip(self._expand_items(), columns):
-            if _expr_key(item[1]) == _expr_key(expr):
-                return col
+        # any other key is only possible when outputs align with the
+        # row-set (no grouping) and DISTINCT did not merge rows.
+        position = output_position(expr, self._expand_items())
+        if position is not None:
+            return columns[position]
         if self.select.group_by or any(
-                _has_aggregate(i.expr) for i in self.select.items):
+                contains_aggregate(i.expr) for i in self.select.items):
             raise SQLCompileError(
                 "ORDER BY on grouped queries must name an output column")
+        if self.select.distinct:
+            raise SQLCompileError(
+                "ORDER BY of a DISTINCT query must name an output column")
         value = self._compile_expr(expr)
         if isinstance(value, Const):
             raise SQLCompileError("cannot ORDER BY a constant")
         return value.name
-
-
-def _has_aggregate(expr):
-    from repro.sql.ast import contains_aggregate
-    return contains_aggregate(expr)
-
-
-def _default_name(expr):
-    if isinstance(expr, Column):
-        return expr.name
-    if isinstance(expr, FuncCall):
-        if len(expr.args) == 1 and isinstance(expr.args[0], Column):
-            return "{0}_{1}".format(expr.name, expr.args[0].name)
-        return expr.name
-    return "expr"
 
 
 def _expr_key(expr):

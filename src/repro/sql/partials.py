@@ -1,0 +1,313 @@
+"""The split-query finish: one decomposition, one merge.
+
+Two engines answer a SELECT in parts and merge the parts' outputs on
+one node: the morsel engine (:mod:`repro.parallel`), whose workers each
+aggregate their share of the morsels, and the shard coordinator
+(:mod:`repro.sharding`), whose legs each run on one shard.  Both plan
+the split and finish through this module, so a query splits and merges
+the same way whichever engine runs it:
+
+* :func:`split_rows` plans a plain projection — every part ships the
+  select items plus hidden ORDER BY key columns — and
+  :func:`merge_rows` concatenates the parts, applies DISTINCT / ORDER BY
+  / LIMIT and strips the hidden keys.
+* :func:`split_aggregates` decomposes aggregates into partials —
+  COUNT/SUM/MIN/MAX ship as themselves, AVG as SUM + COUNT — plus merge
+  trees over them; every part ships group keys ++ partials and
+  :func:`merge_aggregates` recombines them group by group, then applies
+  HAVING / ORDER BY / DISTINCT / LIMIT.
+
+Merge trees reuse the SQL AST's operator nodes (BinOp/UnaryOp/IsNull/
+Literal) with three extra leaves (:class:`GroupCol`, :class:`Partial`,
+:class:`AvgOf`).  Values are decoded Python values with None for nil;
+aggregates of nothing are None (COUNT: 0), arithmetic runs through the
+shared scalar operator table (:mod:`repro.core.scalar`), sorts put nil
+first ascending and last descending, HAVING treats None as false.
+Floating-point recombination is exact for dyadic-rational data;
+arbitrary doubles may see the usual re-association jitter.
+"""
+
+from dataclasses import dataclass, field
+
+from repro.core.algebra import order_rows
+from repro.core.scalar import SCALAR_OPS
+from repro.sql.ast import BinOp, Column, FuncCall, IsNull, Literal, UnaryOp
+
+
+class MergeError(Exception):
+    """A merge recipe met a value shape it cannot combine."""
+
+
+class Undecomposable(Exception):
+    """A SELECT shape with no split into parts plus a merge."""
+
+
+# -- merge-tree leaves ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class GroupCol:
+    """A group-key column of the part rows (position ``index``)."""
+
+    index: int
+
+
+@dataclass(frozen=True)
+class Partial:
+    """A combined partial-aggregate value (position ``index``)."""
+
+    index: int
+
+
+@dataclass(frozen=True)
+class AvgOf:
+    """AVG recombined from a SUM partial and a COUNT partial."""
+
+    sum_index: int
+    count_index: int
+
+
+@dataclass
+class SplitPlan:
+    """How the part rows of one split SELECT merge.
+
+    A projection's part rows are the ``n_items`` select items followed
+    by hidden order-key columns; an aggregate's are ``n_group`` group
+    keys followed by one value per entry of ``partials``.
+    """
+
+    n_items: int = 0
+    order_columns: list = field(default_factory=list)  # [(position, asc)]
+    n_group: int = 0
+    partials: list = field(default_factory=list)   # [(kind, aggregate call)]
+    item_exprs: list = field(default_factory=list)  # merge trees
+    having_expr: object = None
+    order_exprs: list = field(default_factory=list)  # [(tree, asc)]
+    distinct: bool = False
+    limit: int = None
+
+    @property
+    def partial_kinds(self):
+        return [kind for kind, _ in self.partials]
+
+
+# -- planning -------------------------------------------------------------------
+
+def output_position(expr, items):
+    """The select-list output an ORDER BY expression reuses, or None.
+
+    ``items`` is the expanded select list ``[(name, expr)]``.  An
+    unqualified column naming an output (an alias, or a column's own
+    name) reuses it; otherwise an item with an identical expression
+    does.  Every engine orders by this one rule.
+    """
+    if isinstance(expr, Column) and expr.table is None:
+        for position, (name, _) in enumerate(items):
+            if name == expr.name:
+                return position
+    key = repr(expr)
+    for position, (_, item_expr) in enumerate(items):
+        if repr(item_expr) == key:
+            return position
+    return None
+
+
+def split_rows(select, items):
+    """Plan a plain projection over its expanded ``items``.
+
+    Returns ``(plan, hidden)``: each part row carries the items plus
+    one hidden column per expression in ``hidden`` — the ORDER BY keys
+    no output already holds.
+    """
+    hidden = []
+    order_columns = []
+    for order in select.order_by:
+        position = output_position(order.expr, items)
+        if position is None:
+            if select.distinct:
+                # A hidden key would change what DISTINCT deduplicates;
+                # the single-node compiler rejects this shape too.
+                raise Undecomposable(
+                    "DISTINCT ordered by an expression outside the "
+                    "select list")
+            position = len(items) + len(hidden)
+            hidden.append(order.expr)
+        order_columns.append((position, order.ascending))
+    plan = SplitPlan(n_items=len(items), order_columns=order_columns,
+                     distinct=select.distinct, limit=select.limit)
+    return plan, hidden
+
+
+class _Decomposer:
+    """Splits aggregate expressions into partials plus a merge tree."""
+
+    KINDS = ("count", "sum", "min", "max")
+
+    def __init__(self, group_by):
+        self.group_keys = {repr(g): i for i, g in enumerate(group_by)}
+        self.partials = []       # [(kind, aggregate call)]
+        self._index = {}         # (kind, repr(call)) -> partial position
+
+    def _partial(self, kind, call):
+        key = (kind, repr(call))
+        if key not in self._index:
+            self._index[key] = len(self.partials)
+            self.partials.append((kind, call))
+        return self._index[key]
+
+    def decompose(self, expr):
+        key = repr(expr)
+        if key in self.group_keys:
+            return GroupCol(self.group_keys[key])
+        if isinstance(expr, Literal):
+            return expr
+        if isinstance(expr, FuncCall) and expr.is_aggregate:
+            if expr.distinct:
+                raise Undecomposable("DISTINCT aggregate")
+            if expr.name == "avg":
+                arg = expr.args[0]
+                return AvgOf(
+                    self._partial("sum", FuncCall("sum", (arg,))),
+                    self._partial("count", FuncCall("count", (arg,))))
+            if expr.name not in self.KINDS:
+                raise Undecomposable(expr.name)
+            return Partial(self._partial(expr.name, expr))
+        if isinstance(expr, BinOp):
+            return BinOp(expr.op, self.decompose(expr.left),
+                         self.decompose(expr.right))
+        if isinstance(expr, UnaryOp):
+            return UnaryOp(expr.op, self.decompose(expr.operand))
+        if isinstance(expr, IsNull):
+            return IsNull(self.decompose(expr.operand))
+        raise Undecomposable(expr)
+
+
+def split_aggregates(select, items):
+    """Plan an aggregate SELECT over its expanded ``items``: the
+    partials every part computes per group, and the merge trees the
+    finish evaluates over them.  Raises :class:`Undecomposable`."""
+    decomposer = _Decomposer(select.group_by)
+    item_exprs = [decomposer.decompose(expr) for _, expr in items]
+    having = None if select.having is None \
+        else decomposer.decompose(select.having)
+    order_exprs = []
+    for order in select.order_by:
+        position = output_position(order.expr, items)
+        tree = item_exprs[position] if position is not None \
+            else decomposer.decompose(order.expr)
+        order_exprs.append((tree, order.ascending))
+    return SplitPlan(
+        n_items=len(items), n_group=len(select.group_by),
+        partials=decomposer.partials, item_exprs=item_exprs,
+        having_expr=having, order_exprs=order_exprs,
+        distinct=select.distinct, limit=select.limit)
+
+
+# -- the finish -----------------------------------------------------------------
+
+def combine_partials(kind, values):
+    """Fold one partial aggregate's per-part values into the total."""
+    present = [v for v in values if v is not None]
+    if kind == "count":
+        return sum(present)
+    if not present:
+        return None
+    if kind == "sum":
+        return sum(present)
+    if kind == "min":
+        return min(present)
+    if kind == "max":
+        return max(present)
+    raise MergeError("unknown partial kind {0!r}".format(kind))
+
+
+def eval_merge(expr, group, combined):
+    """Evaluate a merge tree for one merged group.
+
+    ``group`` is the group-key tuple, ``combined`` the recombined
+    partial values.
+    """
+    if isinstance(expr, Partial):
+        return combined[expr.index]
+    if isinstance(expr, GroupCol):
+        return group[expr.index]
+    if isinstance(expr, BinOp):
+        return SCALAR_OPS[expr.op](eval_merge(expr.left, group, combined),
+                                   eval_merge(expr.right, group, combined))
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, AvgOf):
+        count = combined[expr.count_index]
+        if not count:
+            return None
+        return combined[expr.sum_index] / count
+    if isinstance(expr, UnaryOp):
+        return SCALAR_OPS["not" if expr.op == "not" else "neg"](
+            eval_merge(expr.operand, group, combined))
+    if isinstance(expr, IsNull):
+        return eval_merge(expr.operand, group, combined) is None
+    raise MergeError("unsupported merge expression {0!r}".format(expr))
+
+
+def _distinct(rows):
+    seen = set()
+    out = []
+    for row in rows:
+        if row not in seen:
+            seen.add(row)
+            out.append(row)
+    return out
+
+
+def merge_rows(plan, part_rows):
+    """Finish a split projection: concatenate the parts' rows, re-sort
+    on the (possibly hidden) order-key columns, DISTINCT/LIMIT, strip
+    hidden columns."""
+    rows = [row for rows in part_rows for row in rows]
+    if plan.distinct:
+        rows = _distinct(rows)
+    if plan.order_columns:
+        rows = order_rows(rows,
+                          lambda row, i: row[plan.order_columns[i][0]],
+                          [asc for _, asc in plan.order_columns])
+    if plan.limit is not None:
+        rows = rows[:plan.limit]
+    if any(pos >= plan.n_items for pos, _ in plan.order_columns):
+        rows = [row[:plan.n_items] for row in rows]
+    return rows
+
+
+def merge_aggregates(plan, part_rows):
+    """Finish a split aggregate: recombine partials group by group,
+    then apply HAVING / ORDER BY / DISTINCT / LIMIT."""
+    n_group = plan.n_group
+    kinds = plan.partial_kinds
+    groups = {}      # group key tuple -> its part rows, in arrival order
+    for rows in part_rows:
+        for row in rows:
+            groups.setdefault(tuple(row[:n_group]), []).append(row)
+    if not n_group and not groups:
+        # A scalar aggregate over no part rows still yields one row.
+        groups[()] = []
+    out = []
+    for key, rows in groups.items():     # first-arrival group order
+        columns = list(zip(*rows))[n_group:] if rows else [()] * len(kinds)
+        combined = [combine_partials(kind, values)
+                    for kind, values in zip(kinds, columns)]
+        if plan.having_expr is not None and \
+                not eval_merge(plan.having_expr, key, combined):
+            continue
+        row = tuple(eval_merge(e, key, combined) for e in plan.item_exprs)
+        out.append((row, key, combined))
+    rows = [row for row, _, _ in out]
+    if plan.order_exprs:
+        decorated = order_rows(out,
+                               lambda entry, i: eval_merge(
+                                   plan.order_exprs[i][0], entry[1],
+                                   entry[2]),
+                               [asc for _, asc in plan.order_exprs])
+        rows = [row for row, _, _ in decorated]
+    if plan.distinct:
+        rows = _distinct(rows)
+    if plan.limit is not None:
+        rows = rows[:plan.limit]
+    return rows

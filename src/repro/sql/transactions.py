@@ -163,7 +163,8 @@ class Transaction:
     # -- statement execution -----------------------------------------------------------
 
     def execute(self, sql, context=None):
-        """Execute a statement inside this transaction.
+        """Execute a statement (SQL text or a parsed statement) inside
+        this transaction.
 
         SELECT returns a ResultSet; INSERT/DELETE/UPDATE return the
         affected row count (buffered until commit); DDL is rejected.
@@ -173,7 +174,7 @@ class Transaction:
         the transaction stays open and consistent.
         """
         self._check_open()
-        statement = parse_sql(sql)
+        statement = parse_sql(sql) if isinstance(sql, str) else sql
         if isinstance(statement, (CreateTable, CreateMaterializedView,
                                   DropMaterializedView)):
             raise NotImplementedError("DDL inside a transaction")

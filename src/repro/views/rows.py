@@ -14,6 +14,7 @@ query.
 import math
 
 from repro.core.atoms import BIT, DBL, LNG, STR
+from repro.core.scalar import SCALAR_OPS
 from repro.sql.ast import (
     BinOp, Column, FuncCall, IsNull, Literal, Star, UnaryOp,
 )
@@ -96,14 +97,14 @@ def truthy(value):
 def eval_expr(expr, env):
     """Evaluate a scalar expression over one row environment.
 
-    None propagates through arithmetic and comparisons (so a NULL
-    predicate filters its row out — the SQL convention, which the
-    reference executor shares; the engine's in-domain sentinels compare
-    as ordinary values instead, a documented divergence that only
-    NULL-bearing predicates can observe).
+    Operators come from the shared scalar table
+    (:mod:`repro.core.scalar`): None propagates through arithmetic and
+    comparisons (so a NULL predicate filters its row out — the SQL
+    convention, which the reference executor shares; the engine's
+    in-domain sentinels compare as ordinary values instead, a
+    documented divergence that only NULL-bearing predicates can
+    observe), and a zero divisor gives what the column kernels give.
     """
-    if isinstance(expr, Literal):
-        return expr.value
     if isinstance(expr, Column):
         key = "{0}.{1}".format(expr.table, expr.name) if expr.table \
             else expr.name
@@ -112,40 +113,16 @@ def eval_expr(expr, env):
         except KeyError:
             raise ViewError("unknown column {0!r}".format(key)) from None
     if isinstance(expr, BinOp):
-        if expr.op == "and":
-            return truthy(eval_expr(expr.left, env)) and \
-                truthy(eval_expr(expr.right, env))
-        if expr.op == "or":
-            return truthy(eval_expr(expr.left, env)) or \
-                truthy(eval_expr(expr.right, env))
-        left = eval_expr(expr.left, env)
-        right = eval_expr(expr.right, env)
-        if left is None or right is None:
-            return None
-        return _BINOPS[expr.op](left, right)
+        return SCALAR_OPS[expr.op](eval_expr(expr.left, env),
+                                   eval_expr(expr.right, env))
+    if isinstance(expr, Literal):
+        return expr.value
     if isinstance(expr, UnaryOp):
-        value = eval_expr(expr.operand, env)
-        if value is None:
-            return None
-        return (not value) if expr.op == "not" else -value
+        return SCALAR_OPS["not" if expr.op == "not" else "neg"](
+            eval_expr(expr.operand, env))
     if isinstance(expr, IsNull):
         return eval_expr(expr.operand, env) is None
     raise ViewError("unsupported view expression {0!r}".format(expr))
-
-
-_BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 # -- output-type inference ----------------------------------------------------

@@ -11,7 +11,7 @@ from repro.sessions import (
     SessionError, SessionManager,
 )
 from repro.sharding import ShardedDatabase
-from repro.sql import ConflictError, Database
+from repro.sql import ConflictError, Database, parse_sql
 
 
 def _single():
@@ -77,6 +77,26 @@ class TestSqlSurface:
             s.execute("UPDATE t SET v = 5 WHERE k = 2")
         assert mgr.session().query(
             "SELECT v FROM t WHERE k = 2") == [(5,)]
+
+    def test_parsed_statements_inside_a_transaction(self, monkeypatch):
+        """A statement reaches the open transaction parsed once: parsed
+        ASTs are accepted, and SQL text is not parsed a second time."""
+        import repro.sql.transactions as transactions
+        mgr = SessionManager(_single())
+        s = mgr.session()
+        s.execute(parse_sql("BEGIN"))
+        assert s.execute(parse_sql("INSERT INTO t VALUES (4, 40)")) == 1
+        assert s.execute(parse_sql(
+            "SELECT v FROM t WHERE k = 4")).rows() == [(40,)]
+
+        def parse_again(sql):
+            raise AssertionError("parsed twice: {0!r}".format(sql))
+
+        monkeypatch.setattr(transactions, "parse_sql", parse_again)
+        assert s.execute("UPDATE t SET v = 41 WHERE k = 4") == 1
+        s.execute("COMMIT")
+        assert mgr.session().query(
+            "SELECT v FROM t WHERE k = 4") == [(41,)]
 
 
 class TestSnapshots:

@@ -1,0 +1,94 @@
+"""One statement, one answer, on every engine.
+
+Each statement runs on the serial interpreter, the compiled kernels,
+the morsel engine (``workers=4``) and a two-shard cluster.  All four
+must return the same rows — values *and* Python types — or raise the
+same error class, with warnings as errors (as CI's tier-1 runs).  The
+cases are the corners where the engines used to differ: aggregates over
+no rows, zero divisors (per row and after aggregation), ORDER BY on an
+alias or under ``*``, HAVING with ORDER BY over aggregates, and DISTINCT
+ordered by a column it does not select.
+"""
+
+import pytest
+
+from repro.sharding import ShardedDatabase
+from repro.sql import Database
+from repro.sql.compiler import SQLCompileError
+
+pytestmark = pytest.mark.filterwarnings("error")
+
+ROWS = [(k, (k * 7) % 41, k % 3) for k in range(40)]   # a is unique
+
+#: (statement, ordered result, the morsel engine runs it itself)
+CASES = [
+    ("SELECT sum(a) + 1 FROM t WHERE a > 100", False, True),
+    ("SELECT count(*), min(a), max(a), avg(a) FROM t WHERE a > 100",
+     False, True),
+    ("SELECT g, sum(a) % 0 FROM t GROUP BY g", False, True),
+    ("SELECT g, sum(a) / 0, count(*) % 0 FROM t GROUP BY g", False, True),
+    ("SELECT sum(a) / 0 FROM t", False, True),
+    ("SELECT k, a / 0, a % 0 FROM t WHERE a > 0", False, True),
+    ("SELECT k FROM t WHERE a / 0 > 1 AND k > 2", False, True),
+    ("SELECT a AS x, k FROM t ORDER BY x DESC LIMIT 3", True, True),
+    ("SELECT * FROM t ORDER BY a LIMIT 3", True, True),
+    ("SELECT g, sum(a) AS s, count(*) FROM t GROUP BY g "
+     "HAVING count(*) > 13 ORDER BY s DESC", True, True),
+    ("SELECT g, sum(a) FROM t GROUP BY g "
+     "HAVING sum(a) > 0 ORDER BY sum(a)", True, True),
+    ("SELECT DISTINCT g FROM t ORDER BY g DESC", True, True),
+    ("SELECT DISTINCT g FROM t ORDER BY a", True, False),
+]
+
+
+def _load(db, ddl):
+    db.execute(ddl)
+    db.execute("INSERT INTO t VALUES " + ", ".join(
+        "({0}, {1}, {2})".format(*row) for row in ROWS))
+    return db
+
+
+@pytest.fixture(scope="module")
+def engines():
+    single = _load(Database(), "CREATE TABLE t (k INT, a INT, g INT)")
+    sharded = _load(ShardedDatabase(n_shards=2),
+                    "CREATE TABLE t (k INT, a INT, g INT) PARTITION BY (k)")
+    return {
+        "serial": lambda sql: single.execute(sql),
+        "compiled": lambda sql: single.execute(sql, compile=True),
+        "workers=4": lambda sql: single.execute(sql, workers=4),
+        "2 shards": lambda sql: sharded.execute(sql),
+    }, single
+
+
+def _answer(run, sql, ordered):
+    """Typed rows (sorted unless the order is specified), or the error
+    class."""
+    try:
+        rows = run(sql).rows()
+    except Exception as exc:  # the parity is in the error class too
+        return type(exc)
+    typed = [tuple((type(v).__name__, v) for v in row) for row in rows]
+    return typed if ordered else sorted(typed, key=repr)
+
+
+@pytest.mark.parametrize("sql,ordered,morsel", CASES,
+                         ids=[sql for sql, _, _ in CASES])
+def test_every_engine_gives_the_same_answer(engines, sql, ordered, morsel):
+    runners, single = engines
+    runs_before = single.parallel_runs
+    answers = {name: _answer(run, sql, ordered)
+               for name, run in runners.items()}
+    assert single.parallel_runs == runs_before + int(morsel)
+    want = answers["serial"]
+    for name, got in answers.items():
+        assert got == want, "{0} differs from serial on {1!r}".format(
+            name, sql)
+
+
+def test_distinct_ordered_outside_its_select_list_is_a_compile_error(
+        engines):
+    runners, _ = engines
+    for run in runners.values():
+        with pytest.raises(SQLCompileError):
+            run("SELECT DISTINCT g FROM t ORDER BY a")

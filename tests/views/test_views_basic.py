@@ -6,6 +6,7 @@ import pytest
 from repro.observability.tracer import Tracer
 from repro.sql import Database, parse_sql, render_select
 from repro.views import ViewError
+from repro.wal import WriteAheadLog
 from tests.helpers import assert_same_rows
 
 
@@ -335,3 +336,31 @@ def test_snapshot_isolated_view_reads():
     txn.abort()
     assert_same_rows(db.query("SELECT * FROM sv"),
                      [(1, 115), (2, 20)])
+
+
+def test_zero_divisor_commits_and_replays():
+    """A zero divisor in a view expression neither breaks the commit
+    nor the log: the view keeps equal to its recompute (x / 0 is inf,
+    integer x % 0 is 0, as the column kernels compute them) and
+    recover() replays it."""
+    db = Database(wal=WriteAheadLog())
+    db.execute("CREATE TABLE t (k BIGINT, a BIGINT, b BIGINT)")
+    db.execute("INSERT INTO t VALUES (1, 6, 3)")
+    views = {"q": "SELECT k, a / b AS q FROM t",
+             "r": "SELECT k, a % b AS r FROM t"}
+    for name, sql in views.items():
+        db.execute("CREATE MATERIALIZED VIEW {0} AS {1}".format(name, sql))
+
+    def check(context):
+        for name, sql in views.items():
+            assert_same_rows(db.query("SELECT * FROM " + name),
+                             db.query(sql), context=context)
+
+    db.execute("INSERT INTO t VALUES (2, 4, 0)")
+    assert (2, float("inf")) in db.query("SELECT * FROM q")
+    assert (2, 0) in db.query("SELECT * FROM r")
+    check("after the insert")
+    db.recover()
+    check("after recover()")
+    db.execute("DELETE FROM t WHERE k = 2")
+    check("after retracting the row")
