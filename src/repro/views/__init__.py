@@ -12,7 +12,7 @@ Modules:
 
 * :mod:`repro.views.zset` — weighted row multisets, the delta currency
 * :mod:`repro.views.rows` — sentinel<->None decoding and the
-  logical-row expression evaluator
+  compiler turning view expressions into functions of row tuples
 * :mod:`repro.views.definition` — classification of defining queries
   into linear / aggregate / join / eager maintenance strategies
 * :mod:`repro.views.maintainer` — the per-database maintainer and the
@@ -24,8 +24,7 @@ from repro.views.maintainer import (
     ViewMaintainer, ViewMaintenanceError, merge_partials, view_from_wal,
 )
 from repro.views.rows import (
-    ViewError, decode_row, decode_value, eval_expr, logical_rows,
-    row_env, truthy,
+    ViewError, decode_row, decode_value, logical_rows,
 )
 from repro.views.zset import ZSet, row_key
 
@@ -39,11 +38,8 @@ __all__ = [
     "classify",
     "decode_row",
     "decode_value",
-    "eval_expr",
     "logical_rows",
     "merge_partials",
-    "row_env",
     "row_key",
-    "truthy",
     "view_from_wal",
 ]

@@ -12,6 +12,16 @@ into weighted Z-set batches and applies them to every view watching
 that table, atomically with the commit (the backing table moves inside
 the same ``_apply_ops`` call that moves the base table).
 
+Maintenance works on whole batches.  Each operator compiles its
+expressions once, when the view is created
+(:func:`~repro.views.rows.compile_expr`; an eager view compiles its
+query through the SQL compiler instead), so
+:meth:`ViewMaintainer.validate` rejects an unknown or ambiguous column
+before the WAL append; a join view probes the delta by key with each
+side's predicates pushed down (:class:`_JoinView`); an aggregate view
+rewrites the groups a delta touched with one backing-table delete and
+one append.
+
 Backing tables are derived state: they are never WAL-logged
 themselves.  The log carries ``create_view``/``drop_view`` records
 (the defining query as SQL text) plus the ordinary commit records, so
@@ -22,11 +32,13 @@ history — on recovery, on replicas, and per shard.
 import numpy as np
 
 from repro.core.atoms import BIT
-from repro.sql.ast import Column
+from repro.sql.ast import BinOp, Column, split_conjuncts
+from repro.sql.compiler import SQLCompileError, compile_select
 from repro.sql.parser import parse_sql
 from repro.views.definition import ViewDefinition, classify
 from repro.views.rows import (
-    ViewError, decode_row, eval_expr, logical_rows, row_env, truthy,
+    ViewError, compile_expr, compile_predicate, compile_row, decode_row,
+    logical_rows, row_slots, slots_read,
 )
 from repro.views.zset import ZSet, row_key
 
@@ -74,22 +86,26 @@ class ViewMaintainer:
     # -- DDL -----------------------------------------------------------------
 
     def validate(self, name, select):
-        """Classify without installing — the pre-WAL validation step."""
-        return self._classify(name, select)
+        """Classify and compile without installing — the pre-WAL
+        validation step, so every column the view names resolves
+        before anything is logged."""
+        return self._operator(name, select).d
 
-    def _classify(self, name, select):
+    def _operator(self, name, select):
         if name in self._views or name in self._db.catalog:
             raise ViewError(
                 "name {0!r} is already a table or view".format(name))
-        return classify(self._db.catalog.tables, name, select,
-                        view_names=set(self._views))
+        definition = classify(self._db.catalog.tables, name, select,
+                              view_names=set(self._views))
+        return _OPERATORS[definition.kind](self, definition)
 
     def create(self, name, select):
-        """Install a view: classify, create the backing table,
-        materialize the initial contents, start watching the bases."""
-        definition = self._classify(name, select)
-        backing = self._db.catalog.create_table(name, definition.columns)
-        view = _OPERATORS[definition.kind](self, definition)
+        """Install a view: classify and compile, create the backing
+        table, materialize the initial contents, start watching the
+        bases."""
+        view = self._operator(name, select)
+        definition = view.d
+        self._db.catalog.create_table(name, definition.columns)
         try:
             view.materialize()
         except Exception:
@@ -199,6 +215,12 @@ class _ViewOperator:
         if counters is not None:
             counters[counter] += value
 
+    def _slots(self, refs):
+        """Slots of a row concatenating the tables ``refs`` bind."""
+        return row_slots([(ref.binding,
+                           self._catalog.get(ref.name).column_names)
+                          for ref in refs])
+
 
 class _MultisetView(_ViewOperator):
     """Base for linear and join views: the backing table is a plain
@@ -207,6 +229,19 @@ class _MultisetView(_ViewOperator):
     def __init__(self, maintainer, definition):
         super().__init__(maintainer, definition)
         self._row_oids = {}  # row_key -> [backing oids]
+
+    def _publish(self, weighted):
+        """Apply ``(output row, weight)`` pairs to the backing table;
+        returns the number of backing rows changed."""
+        plus, minus = [], []
+        for row, weight in weighted:
+            if weight > 0:
+                plus.extend([row] * weight)
+            else:
+                minus.extend([row] * -weight)
+        self._append_out(plus)
+        self._retract_out(minus)
+        return len(plus) + len(minus)
 
     def _append_out(self, rows):
         if not rows:
@@ -230,49 +265,30 @@ class _MultisetView(_ViewOperator):
             doomed.append(oids.pop())
         backing.delete_oids(doomed)
 
-    def _project(self, delta_rows):
-        """Map a per-table Z-set through WHERE and the projection;
-        returns (+rows, -rows) expanded by weight."""
-        raise NotImplementedError
-
 
 class _LinearView(_MultisetView):
     """Single-table filter/project: the delta maps straight through."""
 
+    def __init__(self, maintainer, definition):
+        super().__init__(maintainer, definition)
+        select = definition.select
+        slots = self._slots([select.table])
+        self._keep = compile_predicate(
+            [] if select.where is None else [select.where], slots)
+        self._project = compile_row([item.expr for item in definition.items],
+                                    slots)
+
     def materialize(self):
         base = self._catalog.get(self.d.base_tables[0])
-        binding = self.d.select.table.binding
-        out = []
-        for row in logical_rows(base):
-            projected = self._project_row(binding, base.column_names,
-                                          row)
-            if projected is not None:
-                out.append(projected)
-        self._append_out(out)
-
-    def _project_row(self, binding, column_names, row):
-        env = row_env(binding, column_names, row)
-        where = self.d.select.where
-        if where is not None and not truthy(eval_expr(where, env)):
-            return None
-        return tuple(eval_expr(item.expr, env) for item in self.d.items)
+        self._fold((row, 1) for row in logical_rows(base))
 
     def apply(self, table_name, delta):
-        base = self._catalog.get(table_name)
-        binding = self.d.select.table.binding
-        plus, minus = [], []
-        for row, weight in delta.items():
-            projected = self._project_row(binding, base.column_names,
-                                          row)
-            if projected is None:
-                continue
-            if weight > 0:
-                plus.extend([projected] * weight)
-            else:
-                minus.extend([projected] * (-weight))
-        self._append_out(plus)
-        self._retract_out(minus)
-        return len(plus) + len(minus)
+        return self._fold(delta.items())
+
+    def _fold(self, weighted):
+        keep, project = self._keep, self._project
+        return self._publish((project(row), weight)
+                             for row, weight in weighted if keep(row))
 
 
 class _JoinView(_MultisetView):
@@ -283,65 +299,86 @@ class _JoinView(_MultisetView):
     joins the *current* state of the other table: for a commit moving
     both R and S, dR joins old S, then dS joins new R — together
     exactly dR|><|S + R|><|dS + dR|><|dS.
+
+    ``ON`` and ``WHERE`` are split into conjuncts once, at creation.
+    A conjunct reading one side only filters that side's rows before
+    the join; an equality between a left-only and a right-only
+    expression is a key component; everything else is a residual on
+    the joined (left + right) row.  A join without equalities has the
+    empty key, so all its rows meet in one bucket.
     """
 
-    def _sides(self):
-        select = self.d.select
-        left = select.table
-        right = select.joins[0].table
-        return left, right
+    def __init__(self, maintainer, definition):
+        super().__init__(maintainer, definition)
+        select = definition.select
+        refs = (select.table, select.joins[0].table)
+        self._tables = [ref.name for ref in refs]
+        slots = self._slots(refs)
+        width = len(self._catalog.get(refs[0].name).column_names)
 
-    def _env_pairs(self, left_rows, right_rows):
-        """Joined environments passing the ON condition and WHERE."""
-        select = self.d.select
-        left, right = self._sides()
-        left_table = self._catalog.get(left.name)
-        right_table = self._catalog.get(right.name)
-        for lrow, lweight in left_rows:
-            lenv = row_env(left.binding, left_table.column_names, lrow)
-            for rrow, rweight in right_rows:
-                env = dict(lenv)
-                env.update(row_env(right.binding,
-                                   right_table.column_names, rrow))
-                if not truthy(eval_expr(select.joins[0].condition, env)):
-                    continue
-                if select.where is not None and \
-                        not truthy(eval_expr(select.where, env)):
-                    continue
-                yield env, lweight * rweight
+        def sides(expr):
+            return {int(slot >= width) for slot in slots_read(expr, slots)}
 
-    def _emit(self, pairs):
-        plus, minus = [], []
-        for env, weight in pairs:
-            row = tuple(eval_expr(item.expr, env)
-                        for item in self.d.items)
-            if weight > 0:
-                plus.extend([row] * weight)
-            else:
-                minus.extend([row] * (-weight))
-        self._append_out(plus)
-        self._retract_out(minus)
-        return len(plus) + len(minus)
+        filters, keys, residual = ([], []), ([], []), []
+        conjuncts = split_conjuncts(select.joins[0].condition)
+        if select.where is not None:
+            conjuncts += split_conjuncts(select.where)
+        for conjunct in conjuncts:
+            read = sides(conjunct)
+            if len(read) == 1:
+                filters[read.pop()].append(conjunct)
+                continue
+            if isinstance(conjunct, BinOp) and conjunct.op == "=":
+                ends = (conjunct.left, conjunct.right)
+                read = [sides(end) for end in ends]
+                if read in ([{0}, {1}], [{1}, {0}]):
+                    if read[0] == {1}:
+                        ends = ends[::-1]
+                    keys[0].append(ends[0])
+                    keys[1].append(ends[1])
+                    continue
+            residual.append(conjunct)
+        side_slots = [self._slots([ref]) for ref in refs]
+        self._filters = [compile_predicate(f, s)
+                         for f, s in zip(filters, side_slots)]
+        self._keys = [compile_row(k, s) for k, s in zip(keys, side_slots)]
+        self._residual = compile_predicate(residual, slots)
+        self._project = compile_row([item.expr for item in definition.items],
+                                    slots)
 
     def materialize(self):
-        left, right = self._sides()
-        left_rows = [(row, 1) for row
-                     in logical_rows(self._catalog.get(left.name))]
-        right_rows = [(row, 1) for row
-                      in logical_rows(self._catalog.get(right.name))]
-        return self._emit(self._env_pairs(left_rows, right_rows))
+        left = self._catalog.get(self._tables[0])
+        self._join(0, [(row, 1) for row in logical_rows(left)])
 
     def apply(self, table_name, delta):
-        left, right = self._sides()
-        if table_name == left.name:
-            other = [(row, 1) for row
-                     in logical_rows(self._catalog.get(right.name))]
-            pairs = self._env_pairs(delta.items(), other)
-        else:
-            other = [(row, 1) for row
-                     in logical_rows(self._catalog.get(left.name))]
-            pairs = self._env_pairs(other, delta.items())
-        return self._emit(pairs)
+        return self._join(self._tables.index(table_name), delta.items())
+
+    def _join(self, side, weighted):
+        """Join ``(row, weight)`` pairs of one side with the other
+        table's current rows: index the pairs by key, probe with the
+        other side.  A key holding None never matches (``=`` of NULL
+        is not true)."""
+        keep, key_of = self._filters[side], self._keys[side]
+        buckets = {}
+        for row, weight in weighted:
+            if keep(row):
+                key = key_of(row)
+                if None not in key:
+                    buckets.setdefault(key, []).append((row, weight))
+        if not buckets:
+            return 0
+        other = 1 - side
+        keep, key_of = self._filters[other], self._keys[other]
+        residual, project = self._residual, self._project
+        out = []
+        for probe in logical_rows(self._catalog.get(self._tables[other])):
+            if not keep(probe):
+                continue
+            for row, weight in buckets.get(key_of(probe), ()):
+                joined = row + probe if side == 0 else probe + row
+                if residual(joined):
+                    out.append((project(joined), weight))
+        return self._publish(out)
 
 
 class _AggregateView(_ViewOperator):
@@ -363,9 +400,22 @@ class _AggregateView(_ViewOperator):
         self._groups = {}      # group key -> _Group
         self._group_oids = {}  # group key -> backing oid
         self._scalar = not definition.group_exprs
+        select = definition.select
+        slots = self._slots([select.table])
+        self._keep = compile_predicate(
+            [] if select.where is None else [select.where], slots)
+        self._key_of = compile_row(definition.group_exprs, slots)
+        self._args = [compile_expr(item.arg, slots)
+                      if item.kind == "agg" and item.arg is not None
+                      else None for item in definition.items]
 
     def _binding(self):
         return self.d.select.table.binding
+
+    def _group(self, key, key_values):
+        group = self._groups[key] = _Group(key_values, self.d.items,
+                                           self._args)
+        return group
 
     def materialize(self):
         base = self._catalog.get(self.d.base_tables[0])
@@ -379,40 +429,32 @@ class _AggregateView(_ViewOperator):
         self.apply(self.d.base_tables[0], delta)
 
     def apply(self, table_name, delta):
-        base = self._catalog.get(table_name)
-        binding = self._binding()
-        select = self.d.select
+        keep, key_of = self._keep, self._key_of
         dirty = set()
         for row, weight in delta.items():
-            env = row_env(binding, base.column_names, row)
-            if select.where is not None and \
-                    not truthy(eval_expr(select.where, env)):
+            if not keep(row):
                 continue
-            key = row_key([eval_expr(expr, env)
-                           for expr in self.d.group_exprs]) \
-                if not self._scalar else ()
+            key_values = key_of(row)
+            key = row_key(key_values)
             group = self._groups.get(key)
             if group is None:
-                group = self._groups[key] = _Group(
-                    tuple(eval_expr(expr, env)
-                          for expr in self.d.group_exprs),
-                    self.d.items)
-            group.fold(env, weight)
+                group = self._group(key, key_values)
+            group.fold(row, weight)
             dirty.add(key)
         if self._scalar and not self._group_oids:
             dirty.add(())
         return self._rewrite_groups(dirty)
 
     def _rewrite_groups(self, dirty):
-        """Re-emit the backing row of every touched group."""
-        backing = self._backing()
-        changed = 0
+        """Re-emit the backing row of every touched group: one delete
+        of the old rows and one append of the new, however many
+        groups the delta touched."""
         touched = []
         stale = []
         for key in sorted(dirty):
             group = self._groups.get(key)
             if group is None and self._scalar:
-                group = self._groups[key] = _Group((), self.d.items)
+                group = self._group(key, ())
             if group is None:
                 raise ViewMaintenanceError(
                     "view {0!r}: delta touched unknown group "
@@ -426,19 +468,24 @@ class _AggregateView(_ViewOperator):
                 stale.append(group)
         if stale:
             self._recompute_stale(stale)
+        doomed, fresh_keys, fresh_rows = [], [], []
         for key, group in touched:
             old_oid = self._group_oids.pop(key, None)
             if old_oid is not None:
-                backing.delete_oids([old_oid])
-                changed += 1
+                doomed.append(old_oid)
             if group.weight == 0 and not self._scalar:
                 # Zero-weight groups vanish rather than linger.
                 del self._groups[key]
                 continue
-            oids = backing.append_rows([list(group.output_row())])
-            self._group_oids[key] = oids[0]
-            changed += 1
-        return changed
+            fresh_keys.append(key)
+            fresh_rows.append(list(group.output_row()))
+        backing = self._backing()
+        if doomed:
+            backing.delete_oids(doomed)
+        if fresh_rows:
+            self._group_oids.update(
+                zip(fresh_keys, backing.append_rows(fresh_rows)))
+        return len(doomed) + len(fresh_rows)
 
     def _recompute_stale(self, groups):
         """Rebuild stale min/max accumulators from the base table
@@ -513,31 +560,18 @@ class _AggregateView(_ViewOperator):
         return True
 
     def _recompute_rowwise(self, groups):
-        """The general recompute: one shared row-at-a-time scan, envs
+        """The general recompute: one shared row-at-a-time scan, rows
         bucketed per stale group."""
         base = self._catalog.get(self.d.base_tables[0])
-        binding = self._binding()
-        select = self.d.select
-        buckets = {row_key(group.key_values): []
-                   for group in groups} if not self._scalar else {}
-        scalar_envs = []
+        keep, key_of = self._keep, self._key_of
+        buckets = {row_key(group.key_values): [] for group in groups}
         for row in logical_rows(base):
-            env = row_env(binding, base.column_names, row)
-            if select.where is not None and \
-                    not truthy(eval_expr(select.where, env)):
-                continue
-            if self._scalar:
-                scalar_envs.append(env)
-                continue
-            key = row_key([eval_expr(expr, env)
-                           for expr in self.d.group_exprs])
-            bucket = buckets.get(key)
-            if bucket is not None:
-                bucket.append(env)
+            if keep(row):
+                bucket = buckets.get(row_key(key_of(row)))
+                if bucket is not None:
+                    bucket.append(row)
         for group in groups:
-            envs = scalar_envs if self._scalar \
-                else buckets[row_key(group.key_values)]
-            group.recompute_extrema(envs)
+            group.recompute_extrema(buckets[row_key(group.key_values)])
 
     def dump_partials(self):
         """Shippable per-group state for cross-shard merging."""
@@ -556,6 +590,15 @@ class _EagerView(_ViewOperator):
     """The non-incremental fallback: every base delta recomputes the
     defining query through the engine and rewrites the backing table
     wholesale."""
+
+    def __init__(self, maintainer, definition):
+        super().__init__(maintainer, definition)
+        # Compile, not run, the query now, so an unknown or ambiguous
+        # column fails at CREATE like the incremental kinds do.
+        try:
+            compile_select(self._catalog, definition.select)
+        except SQLCompileError as exc:
+            raise ViewError(str(exc)) from None
 
     def materialize(self):
         self._refresh()
@@ -599,11 +642,15 @@ class _Group:
     * sum/avg(x): ``{"n": non-null count, "total": running sum}``
     * min/max(x): ``{"n": non-null count, "cur": extremum or None,
       "stale": recompute pending}``
+
+    ``args`` holds each item's compiled aggregate argument (None for
+    group keys and ``count(*)``).
     """
 
-    def __init__(self, key_values, items):
+    def __init__(self, key_values, items, args):
         self.key_values = tuple(key_values)
         self.items = items
+        self.args = args
         self.weight = 0
         self.accs = []
         for item in items:
@@ -616,12 +663,12 @@ class _Group:
             else:  # min / max
                 self.accs.append({"n": 0, "cur": None, "stale": False})
 
-    def fold(self, env, weight):
+    def fold(self, row, weight):
         self.weight += weight
-        for item, acc in zip(self.items, self.accs):
-            if item.kind != "agg" or item.arg is None:
+        for item, acc, arg in zip(self.items, self.accs, self.args):
+            if arg is None:
                 continue
-            value = eval_expr(item.arg, env)
+            value = arg(row)
             if value is None:
                 continue
             if item.agg == "count":
@@ -648,12 +695,11 @@ class _Group:
     def needs_recompute(self):
         return any(acc.get("stale") for acc in self.accs)
 
-    def recompute_extrema(self, envs):
-        for item, acc in zip(self.items, self.accs):
+    def recompute_extrema(self, rows):
+        for item, acc, arg in zip(self.items, self.accs, self.args):
             if not acc.get("stale"):
                 continue
-            values = [v for v in (eval_expr(item.arg, env)
-                                  for env in envs) if v is not None]
+            values = [v for v in map(arg, rows) if v is not None]
             acc["cur"] = (min(values) if item.agg == "min"
                           else max(values)) if values else None
             acc["n"] = len(values)

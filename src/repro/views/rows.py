@@ -4,14 +4,21 @@ The engine stores missing values as in-domain nil sentinels
 (:mod:`repro.core.atoms`); view maintenance computes in *logical*
 value space instead — None for missing — so accumulators and Z-set
 weights merge by SQL value rather than by sentinel bit pattern.  This
-module holds the sentinel<->None decoding, a row-at-a-time expression
-evaluator over logical rows (None-propagating, mirroring the SQL
-convention that a NULL comparison does not match), and the type
-inference that derives a view's backing-table schema from its defining
-query.
+module holds the sentinel<->None decoding, the expression compiler
+that turns a view's expressions into closures over logical row tuples
+(None-propagating, mirroring the SQL convention that a NULL comparison
+does not match), and the type inference that derives a view's
+backing-table schema from its defining query.
+
+Expressions compile once, when the view is created: every column
+reference resolves to a tuple position then, so a view naming an
+unknown or ambiguous column is rejected before anything is logged, and
+maintenance evaluates no name lookups at all.
 """
 
 import math
+from functools import reduce
+from operator import itemgetter
 
 from repro.core.atoms import BIT, DBL, LNG, STR
 from repro.core.scalar import SCALAR_OPS
@@ -77,25 +84,52 @@ def logical_rows(table):
     return list(zip(*columns))
 
 
-def row_env(binding, column_names, row):
-    """Evaluation environment of one logical row: qualified
-    (``binding.col``) and unqualified names both resolve."""
-    env = {}
-    for name, value in zip(column_names, row):
-        env["{0}.{1}".format(binding, name)] = value
-        env[name] = value
-    return env
+# -- the logical-row expression compiler -------------------------------------
+
+_AMBIGUOUS = -1
 
 
-# -- the logical-row expression evaluator ------------------------------------
+def row_slots(sides):
+    """Column name -> position in a row concatenating ``sides``.
 
-def truthy(value):
-    """SQL-flavoured truth: None (unknown) never matches."""
-    return bool(value) if value is not None else False
+    ``sides`` lists ``(binding, column names)`` in row order.  A
+    qualified name (``binding.col``) always resolves; an unqualified
+    one only when a single side has it, the SQL compiler's rule
+    (``_Context.resolve``), so a name two sides share is ambiguous.
+    """
+    slots = {}
+    names = [(binding, name) for binding, columns in sides
+             for name in columns]
+    for position, (binding, name) in enumerate(names):
+        slots["{0}.{1}".format(binding, name)] = position
+        slots[name] = _AMBIGUOUS if name in slots else position
+    return slots
 
 
-def eval_expr(expr, env):
-    """Evaluate a scalar expression over one row environment.
+def column_slot(column, slots):
+    """The row position ``column`` reads, or :class:`ViewError`."""
+    slot = slots.get(str(column))
+    if slot is None:
+        raise ViewError("unknown column {0!r}".format(str(column)))
+    if slot == _AMBIGUOUS:
+        raise ViewError("ambiguous column {0!r}".format(column.name))
+    return slot
+
+
+def slots_read(expr, slots):
+    """Every row position ``expr`` reads, resolved as
+    :func:`compile_expr` resolves them."""
+    if isinstance(expr, Column):
+        return {column_slot(expr, slots)}
+    if isinstance(expr, BinOp):
+        return slots_read(expr.left, slots) | slots_read(expr.right, slots)
+    if isinstance(expr, (UnaryOp, IsNull)):
+        return slots_read(expr.operand, slots)
+    return set()
+
+
+def compile_expr(expr, slots):
+    """``expr`` as a function of one logical row tuple.
 
     Operators come from the shared scalar table
     (:mod:`repro.core.scalar`): None propagates through arithmetic and
@@ -104,25 +138,44 @@ def eval_expr(expr, env):
     in-domain sentinels compare as ordinary values instead, a
     documented divergence that only NULL-bearing predicates can
     observe), and a zero divisor gives what the column kernels give.
+    Python truth of a predicate's value is its SQL truth: None never
+    matches.  Raises :class:`ViewError` for an unknown or ambiguous
+    column and for an expression views do not evaluate.
     """
     if isinstance(expr, Column):
-        key = "{0}.{1}".format(expr.table, expr.name) if expr.table \
-            else expr.name
-        try:
-            return env[key]
-        except KeyError:
-            raise ViewError("unknown column {0!r}".format(key)) from None
-    if isinstance(expr, BinOp):
-        return SCALAR_OPS[expr.op](eval_expr(expr.left, env),
-                                   eval_expr(expr.right, env))
+        return itemgetter(column_slot(expr, slots))
     if isinstance(expr, Literal):
-        return expr.value
+        value = expr.value
+        return lambda row: value
+    if isinstance(expr, BinOp):
+        op = SCALAR_OPS[expr.op]
+        left = compile_expr(expr.left, slots)
+        right = compile_expr(expr.right, slots)
+        return lambda row: op(left(row), right(row))
     if isinstance(expr, UnaryOp):
-        return SCALAR_OPS["not" if expr.op == "not" else "neg"](
-            eval_expr(expr.operand, env))
+        op = SCALAR_OPS["not" if expr.op == "not" else "neg"]
+        operand = compile_expr(expr.operand, slots)
+        return lambda row: op(operand(row))
     if isinstance(expr, IsNull):
-        return eval_expr(expr.operand, env) is None
+        operand = compile_expr(expr.operand, slots)
+        return lambda row: operand(row) is None
     raise ViewError("unsupported view expression {0!r}".format(expr))
+
+
+def compile_predicate(conjuncts, slots):
+    """The AND of ``conjuncts`` as a function of one row (always true
+    when there are none)."""
+    if not conjuncts:
+        return lambda row: True
+    return compile_expr(
+        reduce(lambda left, right: BinOp("and", left, right), conjuncts),
+        slots)
+
+
+def compile_row(exprs, slots):
+    """A function of one row giving the tuple of ``exprs``' values."""
+    functions = [compile_expr(expr, slots) for expr in exprs]
+    return lambda row: tuple([function(row) for function in functions])
 
 
 # -- output-type inference ----------------------------------------------------

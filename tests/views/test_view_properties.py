@@ -158,3 +158,94 @@ def test_retraction_to_empty_then_regrowth(ops):
     reference = ReferenceExecutor({"t": (list(COLUMNS), rows)})
     assert_same_rows(db.views.contents("v"), reference.execute(select),
                      context="after regrowth")
+
+
+# -- join views ------------------------------------------------------------------
+
+# l.k is BIGINT and r.k DOUBLE, so the key equality must match 1 with
+# 1.0; both keys are nullable, and a NULL key never matches.
+JOIN_ON = st.sampled_from((
+    "l.k = r.k",                      # one-key equality
+    "l.k = r.k AND l.a = r.b",        # two-key equality
+    "l.k = r.k AND l.a < r.b",        # equality plus a theta residual
+    "l.a < r.b",                      # pure theta: one bucket
+    "l.k = r.k OR l.a = r.b",         # OR: residual only
+))
+JOIN_WHERE = st.sampled_from((
+    None,
+    "l.a > -2",                       # one side (pushed down)
+    "r.b IS NULL OR r.b < 2",         # the other side, one OR conjunct
+    "l.a <> 0 AND r.b >= -1",         # both sides, each pushed down
+    "l.a + r.b > 0",                  # both sides in one conjunct
+))
+_L_ROW = st.tuples(st.integers(0, 3) | st.none(), _VALUE)
+_R_ROW = st.tuples(st.sampled_from((0.0, 1.0, 2.0, 1.5)) | st.none(),
+                   _VALUE)
+_KEY = st.integers(0, 3).map(str)
+JOIN_OPS = st.lists(st.one_of(
+    st.tuples(st.just("INSERT INTO l VALUES ({0}, {1})"), _L_ROW),
+    st.tuples(st.just("INSERT INTO r VALUES ({0}, {1})"), _R_ROW),
+    st.tuples(st.just("DELETE FROM l WHERE k = {0}"), st.tuples(_KEY)),
+    st.tuples(st.just("DELETE FROM r WHERE k = {0}"), st.tuples(_KEY)),
+    st.tuples(st.just("UPDATE l SET a = {1} WHERE k = {0}"),
+              st.tuples(_KEY, _VALUE)),
+    st.tuples(st.just("UPDATE r SET b = {1} WHERE k = {0}"),
+              st.tuples(_KEY, _VALUE)),
+    # One commit moving both tables: dL joins old R, then dR new L.
+    st.tuples(st.just("both"), st.tuples(_L_ROW, _R_ROW)),
+), min_size=1, max_size=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(on=JOIN_ON, where=JOIN_WHERE,
+       seed_l=st.lists(_L_ROW, max_size=4),
+       seed_r=st.lists(_R_ROW, max_size=4), ops=JOIN_OPS)
+def test_join_views_track_any_history(on, where, seed_l, seed_r, ops):
+    """Join views under NULL-bearing insert/delete/update histories on
+    both tables equal a full recomputation after every commit and
+    after ``recover()``.  The reference executor recomputes: it reads
+    NULL as the maintainer does, and the engine does not run theta or
+    OR joins."""
+    from repro.wal import WriteAheadLog
+
+    sql = "SELECT l.k, l.a, r.k, r.b FROM l JOIN r ON {0}{1}".format(
+        on, "" if where is None else " WHERE " + where)
+    select = parse_sql(sql)
+    db = Database(wal=WriteAheadLog())
+    db.execute("CREATE TABLE l (k BIGINT, a BIGINT)")
+    db.execute("CREATE TABLE r (k DOUBLE, b BIGINT)")
+    reference = ReferenceExecutor({"l": (["k", "a"], []),
+                                   "r": (["k", "b"], [])})
+
+    def run(statement, values):
+        text = statement.format(*(_literal(v) for v in values))
+        db.execute(text)
+        reference.apply_dml(parse_sql(text))
+
+    for row in seed_l:
+        run("INSERT INTO l VALUES ({0}, {1})", row)
+    for row in seed_r:
+        run("INSERT INTO r VALUES ({0}, {1})", row)
+    db.execute("CREATE MATERIALIZED VIEW v AS " + sql)
+
+    def check(label):
+        assert_same_rows(db.views.contents("v"), reference.execute(select),
+                         context="{0} after {1}".format(sql, label))
+
+    check("materialize")
+    for statement, values in ops:
+        if statement != "both":
+            run(statement, values)
+        else:
+            texts = ["INSERT INTO l VALUES ({0}, {1})".format(
+                         *map(_literal, values[0])),
+                     "INSERT INTO r VALUES ({0}, {1})".format(
+                         *map(_literal, values[1]))]
+            with db.begin() as txn:
+                for text in texts:
+                    txn.execute(text)
+            for text in texts:
+                reference.apply_dml(parse_sql(text))
+        check((statement, values))
+    db.recover()
+    check("recover()")

@@ -80,6 +80,45 @@ def test_rejected_definitions():
     assert "x" not in db.catalog
 
 
+@pytest.mark.parametrize("seeded", [True, False])
+def test_unknown_column_rejected_before_the_log(tmp_path, seeded):
+    """A view naming an unknown column fails at CREATE before the WAL
+    append, whether or not the base has rows to evaluate it on, so
+    later inserts commit and the log still recovers.  The eager kind
+    (DISTINCT, HAVING) is checked as well as the incremental ones."""
+    db = Database(wal=WriteAheadLog(str(tmp_path / "wal.log")))
+    db.execute("CREATE TABLE t (a BIGINT)")
+    if seeded:
+        db.execute("INSERT INTO t VALUES (1), (2)")
+    for sql in ("SELECT a FROM t WHERE zz > 1", "SELECT zz FROM t",
+                "SELECT a, sum(zz) AS s FROM t GROUP BY a",
+                "SELECT DISTINCT a FROM t WHERE zz > 1",
+                "SELECT a, count(*) AS n FROM t GROUP BY a "
+                "HAVING sum(zz) > 1"):
+        with pytest.raises(ViewError, match="unknown column"):
+            db.execute("CREATE MATERIALIZED VIEW v AS " + sql)
+    db.execute("INSERT INTO t VALUES (3)")
+    before = db.query("SELECT a FROM t")
+    db.recover()
+    assert_same_rows(db.query("SELECT a FROM t"), before)
+    assert db.views.names() == []
+
+
+def test_ambiguous_join_column_rejected():
+    """An unqualified column both join sides have is ambiguous, as the
+    SQL compiler rules; a qualified one is fine."""
+    db = Database()
+    db.execute("CREATE TABLE l (k INT, d INT)")
+    db.execute("CREATE TABLE r (d INT, w INT)")
+    for select in ("SELECT l.k, d, w FROM l JOIN r ON l.d = r.d",
+                   "SELECT DISTINCT d FROM l JOIN r ON l.d = r.d"):
+        with pytest.raises(ViewError, match="ambiguous column 'd'"):
+            db.execute("CREATE MATERIALIZED VIEW v AS " + select)
+    assert "v" not in db.catalog
+    db.execute("CREATE MATERIALIZED VIEW v AS "
+               "SELECT l.k, r.d, w FROM l JOIN r ON l.d = r.d")
+
+
 def test_create_table_cannot_shadow_view():
     db = make_db()
     db.execute("CREATE MATERIALIZED VIEW w AS SELECT k FROM t")
@@ -235,6 +274,81 @@ def test_join_view_both_sides_in_one_transaction():
         txn.execute("INSERT INTO u VALUES (5, 500)")   # matches new row
         txn.execute("DELETE FROM u WHERE k = 1")
     assert_same_rows(db.query("SELECT * FROM j"), [(5, 500)])
+
+
+def _join_db(condition):
+    """t has three rows; u ten, one of them (k = 1) matching t.k = 1."""
+    db = make_db()
+    db.execute("CREATE TABLE u (k BIGINT, w BIGINT)")
+    db.execute("INSERT INTO u VALUES " + ", ".join(
+        "({0}, {1})".format(k, 100 * k) for k in range(1, 11)))
+    db.execute("CREATE MATERIALIZED VIEW j AS SELECT t.k, t.v, u.w "
+               "FROM t JOIN u ON " + condition)
+    return db
+
+
+def _count_residual_checks(db):
+    view = db.views._views["j"]
+    calls = []
+    residual = view._residual
+    view._residual = lambda row: calls.append(row) or residual(row)
+    return calls
+
+
+def test_equality_join_probes_by_key():
+    """A one-row delta meets only the u row with its key: one joined
+    row is checked, not one per row of u."""
+    db = _join_db("t.k = u.k")
+    calls = _count_residual_checks(db)
+    db.execute("INSERT INTO t VALUES (1, 7, 'z')")
+    assert len(calls) == 1
+    assert_same_rows(db.query("SELECT * FROM j"),
+                     [(1, 10, 100), (1, 5, 100), (1, 7, 100),
+                      (2, 20, 200)])
+
+
+def test_theta_join_is_one_bucket():
+    """Without an equality the key is empty, so the delta row meets
+    every u row in one bucket."""
+    db = _join_db("t.v > u.w / 100")
+    calls = _count_residual_checks(db)
+    db.execute("INSERT INTO t VALUES (9, 7, 'z')")
+    assert len(calls) == 10
+    assert_same_rows(db.query("SELECT * FROM j WHERE k = 9"),
+                     [(9, 7, w) for w in range(100, 700, 100)])
+
+
+def test_null_join_keys_never_match():
+    db = Database()
+    db.execute("CREATE TABLE l (k BIGINT, a BIGINT)")
+    db.execute("CREATE TABLE r (k DOUBLE, b BIGINT)")
+    db.execute("INSERT INTO l VALUES (NULL, 1), (1, 2)")
+    db.execute("INSERT INTO r VALUES (NULL, 3), (1.0, 4)")
+    db.execute("CREATE MATERIALIZED VIEW j AS SELECT l.a, r.b "
+               "FROM l JOIN r ON l.k = r.k")
+    assert db.views.contents("j") == [(2, 4)]
+    db.execute("INSERT INTO l VALUES (NULL, 5)")
+    db.execute("INSERT INTO r VALUES (NULL, 6)")
+    assert db.views.contents("j") == [(2, 4)]
+
+
+def test_pushed_down_predicate_skips_the_other_scan(monkeypatch):
+    """A delta the one-side WHERE conjunct empties never reads the
+    other table."""
+    from repro.views import maintainer
+
+    db = _join_db("t.k = u.k WHERE t.v < 50 AND u.w > 0")
+    scanned = []
+    logical_rows = maintainer.logical_rows
+    monkeypatch.setattr(maintainer, "logical_rows", lambda table: (
+        scanned.append(table.name) or logical_rows(table)))
+    db.execute("INSERT INTO t VALUES (1, 70, 'x'), (2, 80, 'y')")
+    assert scanned == []
+    db.execute("INSERT INTO t VALUES (2, 20, 'y')")
+    assert scanned == ["u"]
+    assert_same_rows(db.query("SELECT * FROM j"),
+                     [(1, 10, 100), (1, 5, 100), (2, 20, 200),
+                      (2, 20, 200)])
 
 
 def test_eager_view_recomputes():
