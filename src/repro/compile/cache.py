@@ -3,8 +3,8 @@
 One entry per :class:`repro.compile.shapes.PlanShape` key.  Entries are
 invalidated — never silently reused — when:
 
-* the **schema epoch** moves (any DDL/replay path that clears the
-  Database plan cache also bumps the epoch here), or
+* the **schema epoch** moves (``Database._schema_changed`` bumps it
+  whenever it clears the statement cache), or
 * the **cracking layout token** recorded at compile time no longer
   matches: a kernel compiled against an uncracked column specializes its
   scan differently from one that can call ``sql.crackedselect``, so the

@@ -206,6 +206,18 @@ class FaultInjector:
                                      cap=cap, seed=seed, jitter=jitter,
                                      match=match))
 
+    def disarm(self, kind):
+        """Drop the armed plans of ``kind``; seeded rates stay.  A
+        restarted process starts without the crashes scheduled against
+        the one that died."""
+        for site, plans in list(self._plans.items()):
+            kept = [p for p in plans if p.kind != kind]
+            if kept:
+                self._plans[site] = kept
+            else:
+                del self._plans[site]
+        return self
+
     @classmethod
     def seeded(cls, seed, rates):
         """An injector whose faults fire probabilistically but

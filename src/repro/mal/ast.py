@@ -12,6 +12,11 @@ result variables.
 
 from dataclasses import dataclass, field
 
+#: ``Const.slot`` of a constant computed from, or merged with, a
+#: statement literal: the plan holding it is only valid for the literal
+#: values it was built from.
+DERIVED = -1
+
 
 @dataclass(frozen=True)
 class Var:
@@ -25,9 +30,18 @@ class Var:
 
 @dataclass(frozen=True)
 class Const:
-    """A literal constant argument."""
+    """A literal constant argument.
+
+    ``slot`` ties the constant to a statement literal (the index of its
+    value in the literal vector the SQL statement cache rebinds per
+    execution); None for constants the compiler made up, ``DERIVED``
+    for constants an optimizer computed from, or merged with, a slotted
+    one.  It is not part of equality: two constants are equal when
+    their values are.
+    """
 
     value: object
+    slot: int = field(default=None, compare=False, repr=False)
 
     def __str__(self):
         if isinstance(self.value, str):

@@ -20,7 +20,14 @@ def is_pure(op_name):
 
 @dataclass(frozen=True)
 class OptimizerModule:
-    """A named program-to-program rewrite."""
+    """A named program-to-program rewrite.
+
+    A module passes constants through with their ``Const.slot`` (the
+    SQL statement cache rebinds slotted constants per execution); a
+    constant it computes from or merges with a slotted one gets
+    ``DERIVED``, which pins the plan to the literal values it was built
+    from.
+    """
 
     name: str
     rewrite: callable

@@ -2,17 +2,22 @@
 
 Front-ends emit scalar expressions (``calc.+``, ``calc.<`` ...) for the
 constant parts of predicates; folding them at optimization time removes
-them from the interpreted critical path.
+them from the interpreted critical path.  A constant folded from a
+statement literal is tagged ``DERIVED``: the plan now depends on that
+literal's value.
 """
 
 from repro.core.kernel import KERNEL
-from repro.mal.ast import Const, MALInstruction, MALProgram
+from repro.mal.ast import DERIVED, Const, MALInstruction, MALProgram
 from repro.mal.optimizer.base import is_pure, optimizer
 
 
 def _fold_value(instr):
     fn = KERNEL[instr.op]
-    return fn(*[a.value for a in instr.args])
+    value = fn(*[a.value for a in instr.args])
+    if any(a.slot is not None for a in instr.args):
+        return Const(value, DERIVED)
+    return Const(value)
 
 
 @optimizer("constant_folding")
@@ -30,7 +35,7 @@ def constant_folding(program):
                     and len(instr.results) == 1
                     and all(isinstance(a, Const) for a in instr.args))
         if can_fold:
-            folded[instr.results[0]] = Const(_fold_value(instr))
+            folded[instr.results[0]] = _fold_value(instr)
         else:
             kept.append(instr)
     # Returned variables must stay materialized: re-emit a folded constant

@@ -60,6 +60,7 @@ from repro.replication.log import (
 from repro.sql.ast import Select
 from repro.sql.database import Database
 from repro.sql.parser import parse_sql
+from repro.sql.statement_cache import StatementCache
 
 SHIP_SITE = "repl.ship"
 ACK_SITE = "repl.ack"
@@ -283,6 +284,9 @@ class ReplicationGroup:
         self.acked = {}                # follower id -> last acked LSN
         self._links = {}               # (src, dst) -> SimulatedLink
         self._read_rr = 0              # read round-robin cursor
+        # Statements are parsed here once and the parsed statement runs
+        # on whichever node serves it (each plans it in its own cache).
+        self.statement_cache = StatementCache()
 
     # -- membership ------------------------------------------------------------
 
@@ -337,8 +341,11 @@ class ReplicationGroup:
     def restart(self, node_id):
         """Revive a dead node as a replica: replay its own WAL (recover
         is idempotent, so a clean node is unharmed), then rejoin — the
-        current leader's catch-up stream fences any divergent tail."""
+        current leader's catch-up stream fences any divergent tail.
+        Crashes armed on the dead process die with it: the new process
+        would otherwise fire one on its first catch-up append."""
         node = self.nodes[node_id]
+        node.faults.disarm("crash")
         node.alive = True
         node.db.recover()
         if self.primary is node and node.role == "primary":
@@ -590,11 +597,12 @@ class ReplicationGroup:
         :class:`~repro.governance.QueryContext`: reads checkpoint at
         the routing decision and the chosen node runs the statement
         under the context."""
-        statement = parse_sql(sql) if isinstance(sql, str) else sql
+        statement = parse_sql(sql, self.statement_cache) \
+            if isinstance(sql, str) else sql
         if isinstance(statement, Select):
-            return self._execute_read(sql, session, workers,
+            return self._execute_read(statement, session, workers,
                                       min_lsn=min_lsn, context=context)
-        return self._execute_write(sql, session, workers,
+        return self._execute_write(statement, session, workers,
                                    context=context)
 
     def query(self, sql, session=None, workers=None, min_lsn=None):
@@ -610,21 +618,21 @@ class ReplicationGroup:
     def session(self, read_your_writes=True):
         return Session(self, read_your_writes=read_your_writes)
 
-    def _execute_write(self, sql, session, workers, context=None):
+    def _execute_write(self, statement, session, workers, context=None):
         node = self.require_primary()
         before = node.last_lsn
         if self.tracer.enabled:
             with self.tracer.span("repl.write", kind="replication",
                                   node=node.node_id, mode=self.mode):
-                return self._write_and_wait(node, sql, before, session,
+                return self._write_and_wait(node, statement, before, session,
                                             workers, context=context)
-        return self._write_and_wait(node, sql, before, session, workers,
+        return self._write_and_wait(node, statement, before, session, workers,
                                     context=context)
 
-    def _write_and_wait(self, node, sql, before, session, workers,
+    def _write_and_wait(self, node, statement, before, session, workers,
                         context=None):
         try:
-            result = node.db.execute(sql, workers=workers,
+            result = node.db.execute(statement, workers=workers,
                                      context=context)
         except CrashError:
             self.mark_dead(node)  # the primary process died mid-commit
@@ -658,7 +666,7 @@ class ReplicationGroup:
                         target, self.sync_timeout))
             self.tick()
 
-    def _execute_read(self, sql, session, workers, min_lsn=None,
+    def _execute_read(self, statement, session, workers, min_lsn=None,
                       context=None):
         if context is not None and context.active:
             # The routing cancellation point: fires before a node is
@@ -681,9 +689,9 @@ class ReplicationGroup:
         if self.tracer.enabled:
             with self.tracer.span("repl.read", kind="replication",
                                   node=node.node_id):
-                return node.db.execute(sql, workers=workers,
+                return node.db.execute(statement, workers=workers,
                                        context=context)
-        return node.db.execute(sql, workers=workers, context=context)
+        return node.db.execute(statement, workers=workers, context=context)
 
     # -- observability ---------------------------------------------------------
 
@@ -704,15 +712,25 @@ class ReplicationGroup:
         nodes' common prefix where at least two nodes disagree — after
         failover plus catch-up this must be empty (the chaos-sweep
         acceptance invariant).  Dead nodes are skipped by default:
-        their logs are reconciled on restart."""
+        their logs are reconciled on restart.  With ``include_dead`` a
+        dead node that lags also reports every LSN it lacks, with a
+        None checksum, so a member that never caught up is not silent."""
         nodes = [n for n in self.nodes if n.alive or include_dead]
         if len(nodes) < 2:
             return []
         common = min(n.last_lsn for n in nodes)
+        dead = [n.node_id for n in nodes if not n.alive]
+        head = max(n.last_lsn for n in nodes) if dead else common
         mismatched = []
-        for lsn in range(common + 1):
+        for lsn in range(head + 1):
             sums = {n.node_id: n.log.checksum_at(lsn) for n in nodes}
-            if len(set(sums.values())) > 1:
+            if lsn > common:
+                # Past the common prefix a live member is catching up;
+                # a dead one missing the entry never will.
+                diverged = any(sums[i] is None for i in dead)
+            else:
+                diverged = len(set(sums.values())) > 1
+            if diverged:
                 mismatched.append((lsn, sums))
         return mismatched
 

@@ -70,6 +70,7 @@ class _SingleNodeBackend:
 
     def __init__(self, db):
         self.db = db
+        self.statement_cache = db.statement_cache
 
     def attach(self, session):
         pass
@@ -77,9 +78,8 @@ class _SingleNodeBackend:
     def begin(self, session):
         return self.db.begin(pin=True)
 
-    def autocommit(self, session, statement, sql, workers, context=None):
-        return self.db.execute(sql if isinstance(sql, str) else statement,
-                               workers=workers, context=context)
+    def autocommit(self, session, statement, workers, context=None):
+        return self.db.execute(statement, workers=workers, context=context)
 
     def lsn(self):
         return self.db.commit_seq
@@ -111,6 +111,7 @@ class _ReplicatedBackend:
 
     def __init__(self, group):
         self.group = group
+        self.statement_cache = group.statement_cache
 
     def attach(self, session):
         session._repl = self.group.session()
@@ -118,10 +119,9 @@ class _ReplicatedBackend:
     def begin(self, session):
         return self.group.begin(pin=True)
 
-    def autocommit(self, session, statement, sql, workers, context=None):
+    def autocommit(self, session, statement, workers, context=None):
         return self.group.execute(
-            sql if isinstance(sql, str) else statement,
-            session=session._repl, workers=workers,
+            statement, session=session._repl, workers=workers,
             min_lsn=session.last_snapshot_lsn, context=context)
 
     def lsn(self):
@@ -151,6 +151,7 @@ class _ShardedBackend:
     """
 
     kind = "sharded"
+    statement_cache = None  # the coordinator plans per shard
 
     def __init__(self, sdb):
         self.sdb = sdb
@@ -165,10 +166,9 @@ class _ShardedBackend:
         txn.commit_lsn = None
         return txn
 
-    def autocommit(self, session, statement, sql, workers, context=None):
-        result = self.sdb.execute(
-            sql if isinstance(sql, str) else statement, workers=workers,
-            context=context)
+    def autocommit(self, session, statement, workers, context=None):
+        result = self.sdb.execute(statement, workers=workers,
+                                  context=context)
         if not isinstance(statement, Select):
             self.commit_seq += 1
         return result
@@ -251,8 +251,11 @@ class Session:
 
         ``BEGIN``/``COMMIT``/``ROLLBACK`` drive transaction state;
         anything else runs inside the open transaction, or autocommits.
+        Text is parsed once, through the backend's statement cache, and
+        the parsed statement is what runs.
         """
-        statement = parse_sql(sql) if isinstance(sql, str) else sql
+        statement = parse_sql(sql, self._backend.statement_cache) \
+            if isinstance(sql, str) else sql
         tracer = self._manager.tracer
         if not tracer.enabled:
             return self._dispatch(statement, sql, workers)
@@ -299,8 +302,8 @@ class Session:
 
     def _run_statement(self, statement, sql, workers, context):
         if self.txn is None:
-            return self._backend.autocommit(self, statement, sql,
-                                            workers, context=context)
+            return self._backend.autocommit(self, statement, workers,
+                                            context=context)
         result = self.txn.execute(statement, context=context)
         recorder = self._manager.recorder
         if recorder is not None:

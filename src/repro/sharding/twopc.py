@@ -178,7 +178,7 @@ class ShardedTransaction:
             table = txn.get(statement.table)
             db = self._co.shards[shard_id].database
             new_rows = db._eval_update_rows(table, statement, view=txn)
-            oids = txn._matched_oids(statement.table, statement.where)
+            oids = txn._matched_oids(statement)
             dead = txn._deleted.setdefault(statement.table, set())
             dead.update(oids)
             for row in new_rows:

@@ -7,7 +7,13 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class Literal:
+    """A constant.  ``slot`` is set on statements parsed through a
+    statement cache: the literal-vector index whose value this literal
+    rebinds from (the first literal of the statement with the same type
+    and value).  It is not part of equality or ``repr``."""
+
     value: object
+    slot: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,22 @@ def expand_items(items, bindings):
 
 # -- statements -----------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Params:
+    """How a statement parsed through a statement cache was bound.
+
+    ``values`` is its literal vector (numbers and strings, in text
+    order).  ``key`` is what its plans are cached under: the
+    literal-free shape, the values of the literals the parser consumed
+    structurally (LIMIT, SET), every literal's type, and which literals
+    are equal — so two statements with one key compile to the same plan
+    up to the literal values.
+    """
+
+    key: tuple
+    values: tuple
+
+
 @dataclass
 class CreateTable:
     name: str
@@ -146,6 +168,8 @@ class Insert:
 class Delete:
     table: str
     where: object = None
+    params: Params = field(default=None, init=False, compare=False,
+                          repr=False)
 
 
 @dataclass
@@ -153,6 +177,8 @@ class Update:
     table: str
     assignments: list  # [(column name, expression)]
     where: object = None
+    params: Params = field(default=None, init=False, compare=False,
+                          repr=False)
 
 
 @dataclass
@@ -212,9 +238,11 @@ class Explain:
 
 @dataclass
 class Profile:
-    """``PROFILE <statement>`` — run it traced, show the span tree."""
+    """``PROFILE <statement>`` — run it traced, show the span tree.
+    ``sql`` is the text it was parsed from, for the query span."""
 
     statement: object
+    sql: str = field(default=None, compare=False)
 
 
 def statement_kind(node):
@@ -277,3 +305,7 @@ class Select:
     order_by: list = field(default_factory=list)
     limit: int = None
     distinct: bool = False
+    #: Set by a statement cache on a top-level statement; a copy made
+    #: with ``dataclasses.replace`` is a new statement and has none.
+    params: Params = field(default=None, init=False, compare=False,
+                          repr=False)

@@ -91,7 +91,7 @@ class _Context:
 
 
 def _sargable(expr, ctx):
-    """(binding, column, op, literal) for column-vs-literal comparisons."""
+    """(binding, column, op, Literal) for column-vs-literal comparisons."""
     if not isinstance(expr, BinOp) or expr.op not in _CMP_TO_CALC:
         return None
     left, right, op = expr.left, expr.right, expr.op
@@ -100,16 +100,60 @@ def _sargable(expr, ctx):
         left, right = right, left
         op = flip.get(op, op)
     if isinstance(left, Column) and isinstance(right, Literal):
-        return (ctx.resolve(left), left.name, op, right.value)
+        return (ctx.resolve(left), left.name, op, right)
     return None
 
 
-class _SelectCompiler:
-    """Compiles one SELECT into a MALProgram plus output column names."""
+def _const(literal):
+    """A Literal as a MAL constant, keeping its statement-cache slot."""
+    return Const(literal.value, literal.slot)
 
-    def __init__(self, catalog, select):
+
+def selectivity_order(catalog, conjuncts):
+    """Positions of sargable ``(table, column, op, value)`` conjuncts,
+    most selective first.
+
+    Section 3.1's sampling heuristic applied at plan time: evaluate the
+    conjunct expected to survive fewest tuples first, so the later
+    refinements work on small candidate lists.  Ties, and conjuncts that
+    cannot be sampled, keep their textual order.
+    """
+    from repro.core.algebra import estimate_selectivity
+    scored = []
+    for order, (table, column, op, value) in enumerate(conjuncts):
+        bounds = None
+        if op == "=":
+            bounds = (value, value, True, True)
+        elif op in (">", ">="):
+            bounds = (value, None, op == ">=", False)
+        elif op in ("<", "<="):
+            bounds = (None, value, True, op == "<=")
+        score = 1.0
+        if bounds is not None:
+            try:
+                score = estimate_selectivity(
+                    catalog.get(table).bind(column), *bounds)
+            except (KeyError, TypeError):
+                pass
+        scored.append((score, order))
+    scored.sort()
+    return tuple(order for _, order in scored)
+
+
+class _SelectCompiler:
+    """Compiles one SELECT into a MALProgram plus output column names.
+
+    ``orders``, when a list, receives each conjunct-order decision the
+    compiler takes from literal values: ``(conjuncts, order)`` with
+    ``(table, column, op, slot, value)`` per sargable conjunct and the
+    :func:`selectivity_order` outcome — what a plan cache needs to tell
+    when a plan is right for other values.
+    """
+
+    def __init__(self, catalog, select, orders=None):
         self.catalog = catalog
         self.select = select
+        self.orders = orders
         self.ctx = _Context(MALProgram(name="sql.select"))
 
     # -- top level -------------------------------------------------------------
@@ -264,36 +308,17 @@ class _SelectCompiler:
             self._filter_by_mask(conjunct)
 
     def _order_by_selectivity(self, sargables):
-        """Most selective conjunct first, estimated from samples.
-
-        Section 3.1's sampling heuristic applied at plan time: evaluate
-        the conjunct expected to survive fewest tuples first, so the
-        later refinements work on small candidate lists.  Falls back to
-        the textual order when sampling is impossible.
-        """
+        """Most selective conjunct first (:func:`selectivity_order`)."""
         if len(sargables) < 2:
             return sargables
-        from repro.core.algebra import estimate_selectivity
-        scored = []
-        for order, sarg in enumerate(sargables):
-            binding, column, op, literal = sarg
-            try:
-                bat = self.catalog.get(binding.table).bind(column)
-                if op == "=":
-                    lo, hi, li, hi_i = literal, literal, True, True
-                elif op in (">", ">="):
-                    lo, hi, li, hi_i = literal, None, op == ">=", False
-                elif op in ("<", "<="):
-                    lo, hi, li, hi_i = None, literal, True, op == "<="
-                else:
-                    scored.append((1.0, order, sarg))
-                    continue
-                scored.append((estimate_selectivity(bat, lo, hi, li,
-                                                    hi_i), order, sarg))
-            except (KeyError, TypeError):
-                scored.append((1.0, order, sarg))
-        scored.sort(key=lambda item: (item[0], item[1]))
-        return [sarg for _, _, sarg in scored]
+        order = selectivity_order(self.catalog, [
+            (binding.table, column, op, literal.value)
+            for binding, column, op, literal in sargables])
+        if self.orders is not None:
+            self.orders.append(([
+                (binding.table, column, op, literal.slot, literal.value)
+                for binding, column, op, literal in sargables], order))
+        return [sargables[i] for i in order]
 
     def _refine_with_select(self, binding, column, op, literal):
         """Sargable fast path: refine candidates via algebra.select*."""
@@ -302,21 +327,21 @@ class _SelectCompiler:
         if op == "=":
             binding.cand_var = ctx.emit(
                 "cand", "algebra.select",
-                (Var(col), Const(literal), Var(binding.cand_var)))
+                (Var(col), _const(literal), Var(binding.cand_var)))
             return
         if op == "<>":
             self._filter_by_mask(BinOp("<>", Column(column, binding.alias),
-                                       Literal(literal)))
+                                       literal))
             return
-        lo = hi = None
+        lo = hi = Const(None)
         lo_incl = hi_incl = False
         if op in (">", ">="):
-            lo, lo_incl = literal, op == ">="
+            lo, lo_incl = _const(literal), op == ">="
         else:
-            hi, hi_incl = literal, op == "<="
+            hi, hi_incl = _const(literal), op == "<="
         binding.cand_var = ctx.emit(
             "cand", "algebra.selectrange",
-            (Var(col), Const(lo), Const(hi), Const(lo_incl), Const(hi_incl),
+            (Var(col), lo, hi, Const(lo_incl), Const(hi_incl),
              Var(binding.cand_var)))
 
     def _filter_by_mask(self, expr):
@@ -342,7 +367,7 @@ class _SelectCompiler:
         """Expression -> Var (aligned BAT) or Const (scalar)."""
         ctx = self.ctx
         if isinstance(expr, Literal):
-            return Const(expr.value)
+            return _const(expr)
         if isinstance(expr, Column):
             return Var(self._project_column(expr))
         if isinstance(expr, UnaryOp):
@@ -434,7 +459,7 @@ class _SelectCompiler:
             op = _CMP_TO_CALC.get(expr.op, expr.op)
             return ctx.emit("agg", "calc." + op, (left, right))
         if isinstance(expr, Literal):
-            return ctx.emit("agg", "language.pass", (Const(expr.value),))
+            return ctx.emit("agg", "language.pass", (_const(expr),))
         raise SQLCompileError(
             "select list mixes aggregates and row expressions")
 
@@ -522,7 +547,7 @@ class _SelectCompiler:
             return ctx.emit("m", "batcalc.not", (Var(operand),))
         if isinstance(expr, Literal):
             return ctx.emit("m", "sql.constcolumn",
-                            (Var(extents), Const(expr.value),
+                            (Var(extents), _const(expr),
                              Const(_const_atom_name(expr.value))))
         raise SQLCompileError(
             "{0!r} must appear in GROUP BY or inside an aggregate".format(
@@ -593,29 +618,30 @@ def _const_atom_name(value):
     return "str"
 
 
-def compile_select(catalog, select):
+def compile_select(catalog, select, orders=None):
     """Compile a SELECT AST against a catalog.
 
     Returns ``(program, output_names)``; the program's return variables
     hold one value column per output name (or a scalar for aggregate-only
-    queries).
+    queries).  A Literal's slot becomes its constant's slot; ``orders``
+    collects the conjunct-order decisions (see :class:`_SelectCompiler`).
     """
     if not isinstance(select, Select):
         raise TypeError("expected a Select AST node")
-    return _SelectCompiler(catalog, select).compile()
+    return _SelectCompiler(catalog, select, orders).compile()
 
 
-def compile_where_candidates(catalog, table_name, where):
+def compile_where_candidates(catalog, table_name, where, orders=None):
     """Candidates of ``table_name`` matching ``where`` (DML helper).
 
     Returns a program whose single return variable is the candidate list
     of visible oids matching the predicate (all visible rows when
-    ``where`` is None).
+    ``where`` is None).  ``orders`` as for :func:`compile_select`.
     """
     from repro.sql.ast import SelectItem, TableRef
     select = Select(items=[SelectItem(Star())],
                     table=TableRef(table_name), where=where)
-    compiler = _SelectCompiler(catalog, select)
+    compiler = _SelectCompiler(catalog, select, orders)
     compiler._open_table(select.table)
     if where is not None:
         compiler._compile_where(where)

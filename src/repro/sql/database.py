@@ -9,13 +9,14 @@ from repro.observability.tracer import NO_TRACE
 from repro.sql.ast import (
     BeginTransaction, Column, CommitTransaction, CreateMaterializedView,
     CreateTable, Delete, DropMaterializedView, Explain, Insert, Profile,
-    RollbackTransaction, Select, SelectItem, SetPragma, Update,
+    RollbackTransaction, Select, SelectItem, SetPragma, TableRef, Update,
     statement_kind,
 )
 from repro.sql.catalog import Catalog
 from repro.sql.compiler import compile_select, compile_where_candidates
 from repro.sql.parser import parse_sql
 from repro.sql.render import render_select
+from repro.sql.statement_cache import StatementCache
 from repro.sql.transactions import Transaction
 from repro.views.maintainer import ViewMaintainer
 
@@ -123,8 +124,11 @@ class Database:
         self.tracer = tracer if tracer is not None else NO_TRACE
         self.interpreter = Interpreter(self.catalog, recycler=recycler,
                                        tracer=self.tracer)
-        # Plan-for-reuse (§2): optimized MAL plans cached per SQL text.
-        self._plan_cache = {}
+        # Plan-for-reuse (§2): each statement shape is parsed and
+        # planned once, its literals rebound per execution
+        # (repro.sql.statement_cache).  plans_reused counts SELECTs
+        # that skipped compile + optimize.
+        self.statement_cache = StatementCache()
         self.plans_reused = 0
         # Durability and fault injection (repro.wal / repro.faults).
         self.faults = faults if faults is not None else NO_FAULTS
@@ -190,9 +194,10 @@ class Database:
             self._plan_compiler = PlanCompiler(self)
         return self._plan_compiler
 
-    def _bump_schema_epoch(self):
-        """Schema changed: orphan every compiled kernel alongside the
-        SQL plan cache."""
+    def _schema_changed(self):
+        """The one invalidation call: the schema changed, so every
+        cached statement, plan and compiled kernel is suspect."""
+        self.statement_cache.clear()
         if self._plan_compiler is not None:
             self._plan_compiler.bump_schema()
 
@@ -253,24 +258,25 @@ class Database:
         if effective < 1:
             raise ValueError("workers must be at least 1")
         compiled = self.default_compile if compile is None else compile
-        if isinstance(sql, str) and effective == 1:
-            cached = self._plan_cache.get(sql)
-            if cached is not None:
-                self.plans_reused += 1
-                return self._run_compiled(cached[0], cached[1],
-                                          view=self.catalog,
-                                          compiled=compiled,
-                                          context=context)
-        # Pre-parsed statement ASTs run directly (the sharding and
-        # replication layers route statements as ASTs, not text).
-        statement = parse_sql(sql) if isinstance(sql, str) else sql
+        # Pre-parsed statement ASTs run directly (sessions, sharding and
+        # replication route statements as ASTs, not text).
+        statement = parse_sql(sql, self.statement_cache) \
+            if isinstance(sql, str) else sql
+        if isinstance(statement, Select):
+            if effective > 1:
+                result = self._try_parallel(statement, effective,
+                                            compiled=compiled,
+                                            context=context)
+                if result is not None:
+                    return result
+            return self._run_select(statement, view=self.catalog,
+                                    compiled=compiled, context=context)
         if isinstance(statement, Explain):
             plan = self._explain_statement(statement.statement)
             return ResultSet(["plan"], [plan.splitlines()])
         if isinstance(statement, Profile):
             profile = self._profile_statement(
-                statement.statement, sql if isinstance(sql, str) else "",
-                workers=effective)
+                statement.statement, statement.sql or "", workers=effective)
             self.last_profile = profile
             return ResultSet(["plan"], [profile.text().splitlines()])
         if isinstance(statement, SetPragma):
@@ -290,8 +296,7 @@ class Database:
                 self.wal.append(record)
             self.catalog.create_table(statement.name, statement.columns,
                                       partition_by=statement.partition_by)
-            self._plan_cache.clear()  # schema changed
-            self._bump_schema_epoch()
+            self._schema_changed()
             return None
         if isinstance(statement, CreateMaterializedView):
             # Classify (and reject) *before* the WAL append, so a bad
@@ -304,8 +309,7 @@ class Database:
                                  "name": statement.name,
                                  "sql": sql_text})
             self.views.create(statement.name, statement.select)
-            self._plan_cache.clear()  # schema changed
-            self._bump_schema_epoch()
+            self._schema_changed()
             return None
         if isinstance(statement, DropMaterializedView):
             if not self.views.is_view(statement.name):
@@ -315,8 +319,7 @@ class Database:
                 self.wal.append({"kind": "drop_view",
                                  "name": statement.name})
             self.views.drop(statement.name)
-            self._plan_cache.clear()  # schema changed
-            self._bump_schema_epoch()
+            self._schema_changed()
             return None
         if isinstance(statement, Insert):
             self._reject_view_dml(statement.table)
@@ -332,8 +335,8 @@ class Database:
         if isinstance(statement, Delete):
             self._reject_view_dml(statement.table)
             self.catalog.get(statement.table)
-            oids = self._eval_where(statement.table, statement.where,
-                                    view=self.catalog, context=context)
+            oids = self._eval_where(statement, view=self.catalog,
+                                    context=context)
             ops = [{"table": statement.table, "appends": [],
                     "deletes": sorted(int(o) for o in oids)}]
             self._log_commit(ops)
@@ -342,19 +345,6 @@ class Database:
             return deleted
         if isinstance(statement, Update):
             return self._apply_update(statement, context=context)
-        if isinstance(statement, Select):
-            if effective > 1:
-                result = self._try_parallel(statement, effective,
-                                            compiled=compiled,
-                                            context=context)
-                if result is not None:
-                    return result
-            program, names = compile_select(self.catalog, statement)
-            program = self.pipeline.optimize(program)
-            if isinstance(sql, str):
-                self._plan_cache[sql] = (program, names)
-            return self._run_compiled(program, names, view=self.catalog,
-                                      compiled=compiled, context=context)
         raise TypeError("unsupported statement {0!r}".format(statement))
 
     def query(self, sql, workers=None, compile=None):
@@ -552,9 +542,34 @@ class Database:
 
     # -- internals shared with Transaction ----------------------------------------
 
-    def _run_select(self, statement, view, compiled=None, context=None):
-        program, names = compile_select(self.catalog, statement)
+    def _plan(self, statement, role, build):
+        """``(optimized program, output names)`` of one planned
+        statement (``role`` "select", "where" or "update").
+
+        A statement parsed through the statement cache carries
+        ``params``: its plan comes from the cache when one fits its
+        key, literal values and conjunct order, else ``build(orders)``
+        compiles it and the optimized result is filed.  Failures are
+        never filed.
+        """
+        params = statement.params
+        if params is not None:
+            found = self.statement_cache.plan(role, params, self.catalog)
+            if found is not None:
+                if role == "select":
+                    self.plans_reused += 1
+                return found
+        orders = []
+        program, names = build(orders)
         program = self.pipeline.optimize(program)
+        if params is not None:
+            self.statement_cache.store(role, params, program, names, orders)
+        return program, names
+
+    def _run_select(self, statement, view, compiled=None, context=None):
+        program, names = self._plan(
+            statement, "select",
+            lambda orders: compile_select(self.catalog, statement, orders))
         return self._run_compiled(program, names, view, compiled=compiled,
                                   context=context)
 
@@ -592,10 +607,13 @@ class Database:
         return ResultSet(names, [v.decoded() if isinstance(v, BAT)
                                  else [v] * n for v in values])
 
-    def _eval_where(self, table_name, where, view, context=None):
-        """Visible oids of ``table_name`` matching ``where``."""
-        program = compile_where_candidates(self.catalog, table_name, where)
-        program = self.pipeline.optimize(program)
+    def _eval_where(self, statement, view, context=None):
+        """Visible oids of a DELETE/UPDATE's table matching its WHERE."""
+        program, _ = self._plan(
+            statement, "where",
+            lambda orders: (compile_where_candidates(
+                self.catalog, statement.table, statement.where, orders),
+                None))
         interpreter = Interpreter(view)
         if context is not None:
             interpreter.governance = context
@@ -604,17 +622,19 @@ class Database:
 
     def _eval_update_rows(self, table, statement, view, context=None):
         """New full rows (column order) for an UPDATE's matched tuples."""
-        assigned = dict(statement.assignments)
-        unknown = set(assigned) - set(table.column_names)
-        if unknown:
-            raise KeyError("UPDATE of unknown column(s) {0}".format(
-                sorted(unknown)))
-        items = [SelectItem(assigned.get(c, Column(c)), alias=c)
-                 for c in table.column_names]
-        from repro.sql.ast import Select as SelectNode, TableRef
-        select = SelectNode(items=items, table=TableRef(table.name),
+        def build(orders):
+            assigned = dict(statement.assignments)
+            unknown = set(assigned) - set(table.column_names)
+            if unknown:
+                raise KeyError("UPDATE of unknown column(s) {0}".format(
+                    sorted(unknown)))
+            items = [SelectItem(assigned.get(c, Column(c)), alias=c)
+                     for c in table.column_names]
+            select = Select(items=items, table=TableRef(table.name),
                             where=statement.where)
-        result = self._run_select(select, view=view, context=context)
+            return compile_select(self.catalog, select, orders)
+        program, names = self._plan(statement, "update", build)
+        result = self._run_compiled(program, names, view, context=context)
         return result.rows()
 
     def _reject_view_dml(self, table_name):
@@ -630,8 +650,8 @@ class Database:
         new_rows = self._eval_update_rows(table, statement,
                                           view=self.catalog,
                                           context=context)
-        oids = self._eval_where(statement.table, statement.where,
-                                view=self.catalog, context=context)
+        oids = self._eval_where(statement, view=self.catalog,
+                                context=context)
         ops = [{"table": statement.table,
                 "appends": [list(r) for r in new_rows],
                 "deletes": sorted(int(o) for o in oids)}]
@@ -724,20 +744,17 @@ class Database:
                 record["table"],
                 [tuple(c) for c in record["columns"]],
                 partition_by=record.get("partition_by"))
-            self._plan_cache.clear()  # schema changed
-            self._bump_schema_epoch()
+            self._schema_changed()
         elif kind == "create_view":
             # Re-installing the view re-materializes its backing table
             # from the (replayed) base tables; subsequent commit
             # records then maintain it exactly as live execution did.
             select = parse_sql(record["sql"])
             self.views.create(record["name"], select)
-            self._plan_cache.clear()  # schema changed
-            self._bump_schema_epoch()
+            self._schema_changed()
         elif kind == "drop_view":
             self.views.drop(record["name"])
-            self._plan_cache.clear()  # schema changed
-            self._bump_schema_epoch()
+            self._schema_changed()
         elif kind == "commit":
             self._apply_ops(record["ops"])
             self._bump_commit()
@@ -787,8 +804,7 @@ class Database:
                                        tracer=self.tracer)
         if self.recycler is not None:
             self.recycler.clear()  # cached results may predate the crash
-        self._plan_cache.clear()
-        self._bump_schema_epoch()
+        self._schema_changed()
         self.last_parallel = None
         self._pending_prepares = {}
         self.commit_seq = 0  # rebuilt by replay

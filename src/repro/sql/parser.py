@@ -9,27 +9,48 @@ session pragma SET (``SET workers = 4``), transaction control
 EXPLAIN / PROFILE statement prefixes.  Expressions
 follow standard precedence: OR < AND < NOT < comparison < additive <
 multiplicative < unary minus.
+
+:func:`parse_sql` with a statement cache parses each literal-free shape
+once and binds every execution's literals into that parse.
 """
+
+from dataclasses import fields, is_dataclass
 
 from repro.sql.ast import (
     BeginTransaction, BinOp, Column, CommitTransaction,
     CreateMaterializedView, CreateTable, Delete, DropMaterializedView,
-    Explain, FuncCall, Insert, IsNull, Join, Literal, OrderItem,
+    Explain, FuncCall, Insert, IsNull, Join, Literal, OrderItem, Params,
     Profile, RollbackTransaction, Select, SelectItem, SetPragma, Star,
     TableRef, UnaryOp, Update,
 )
-from repro.sql.lexer import END, SQLSyntaxError, tokenize
+from repro.sql.lexer import (
+    END, LITERALS, NUMBER_MARK, STRING_MARK, SQLSyntaxError, lift, tokenize,
+)
 
 _TYPE_KEYWORDS = frozenset([
     "integer", "int", "bigint", "smallint", "tinyint", "varchar", "text",
     "string", "boolean", "bool", "real", "float", "double",
 ])
 
+#: Longer texts bypass the statement cache: bulk-load INSERTs would
+#: only pin their ASTs in memory.
+MAX_CACHED_TEXT = 4096
+
 
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, slotted=False):
         self.tokens = tokens
         self.pos = 0
+        # A slotted parse numbers the literal tokens in text order; each
+        # Literal, INSERT value and structurally used value records its
+        # slot so a later execution can bind its own values.
+        self.slots = {}
+        if slotted:
+            for token in tokens:
+                if token.kind in LITERALS:
+                    self.slots[token.position] = len(self.slots)
+        self.structural = set()  # slots whose value shaped the parse
+        self.row_slots = []      # (row, column, slot, negated) per VALUES
 
     # -- token plumbing ----------------------------------------------------
 
@@ -176,26 +197,33 @@ class _Parser:
                 columns.append(self.expect("ident").value)
             self.expect("op", ")")
         self.expect("keyword", "values")
-        rows = [self._value_row()]
+        rows = [self._value_row(0)]
         while self.accept("op", ","):
-            rows.append(self._value_row())
+            rows.append(self._value_row(len(rows)))
         self.accept("op", ";")
         self.expect(END)
         return Insert(table, rows, columns)
 
-    def _value_row(self):
+    def _value_row(self, row):
         self.expect("op", "(")
-        values = [self._literal_value()]
+        values = [self._literal_value(row, 0)]
         while self.accept("op", ","):
-            values.append(self._literal_value())
+            values.append(self._literal_value(row, len(values)))
         self.expect("op", ")")
         return tuple(values)
 
-    def _literal_value(self):
+    def _literal_value(self, row=None, column=None, negated=False):
+        """A literal value (INSERT VALUES, SET).  ``row``/``column``
+        place an INSERT value; any other use shapes the statement, so a
+        slotted parse marks its slot structural."""
         token = self.advance()
-        if token.kind == "number":
-            return token.value
-        if token.kind == "string":
+        if token.kind == "number" or token.kind == "string":
+            if self.slots:
+                slot = self.slots[token.position]
+                if row is None:
+                    self.structural.add(slot)
+                else:
+                    self.row_slots.append((row, column, slot, negated))
             return token.value
         if token.matches("keyword", "true"):
             return True
@@ -204,7 +232,7 @@ class _Parser:
         if token.matches("keyword", "null"):
             return None
         if token.matches("op", "-"):
-            inner = self._literal_value()
+            inner = self._literal_value(row, column, not negated)
             return -inner
         raise SQLSyntaxError("expected literal, found {0!r}".format(
             token.value))
@@ -284,7 +312,10 @@ class _Parser:
                 order_by.append(self._order_item())
         limit = None
         if self.accept("keyword", "limit"):
-            limit = self.expect("number").value
+            token = self.expect("number")
+            if token.position in self.slots:
+                self.structural.add(self.slots[token.position])
+            limit = token.value
         self.accept("op", ";")
         if not nested:
             self.expect(END)
@@ -430,9 +461,9 @@ class _Parser:
 
     def _primary(self):
         token = self.peek()
-        if token.kind == "number" or token.kind == "string":
+        if token.kind in LITERALS:
             self.advance()
-            return Literal(token.value)
+            return Literal(token.value, self.slots.get(token.position))
         if token.matches("keyword", "true"):
             self.advance()
             return Literal(True)
@@ -473,6 +504,94 @@ class _Parser:
         return FuncCall(name, args, distinct)
 
 
-def parse_sql(text):
-    """Parse one SQL statement into its AST node."""
-    return _Parser(tokenize(text)).parse_statement()
+def parse_sql(text, cache=None):
+    """Parse one SQL statement into its AST node.
+
+    With a :class:`~repro.sql.statement_cache.StatementCache` the
+    number and string literals are lifted out of the text in one pass
+    (:func:`~repro.sql.lexer.lift`); the literal-free shape is tokenized
+    and parsed the first time it is seen (the lifted values checked
+    against the tokens then), and every execution binds its own literal
+    vector into that parse.  SELECT, DELETE and UPDATE come back with
+    ``params`` set — the key their cached plans live under.  A text
+    holding a shape's literal marks never passes for that shape: it is
+    tokenized, and rejected, like any other.
+
+    A PROFILE statement keeps ``text`` for its query span.
+    """
+    if cache is None or len(text) > MAX_CACHED_TEXT \
+            or NUMBER_MARK in text or STRING_MARK in text:
+        statement = _Parser(tokenize(text)).parse_statement()
+    else:
+        statement = _parse_shape(cache, text)
+    if isinstance(statement, Profile):
+        statement = Profile(statement.statement, text)
+    return statement
+
+
+def _parse_shape(cache, text):
+    shape, values = lift(text)
+    structural = cache.shapes.get(shape)
+    template = None
+    if structural is not None:
+        shaping = tuple(values[i] for i in structural)
+        template = cache.templates.get((shape, shaping))
+    if template is None:
+        tokens = tokenize(text)
+        if [(type(t.value), t.value) for t in tokens if t.kind in LITERALS] \
+                != [(type(v), v) for v in values]:
+            return _Parser(tokens).parse_statement()  # lift disagrees
+        parser = _Parser(tokens, slotted=True)
+        node = parser.parse_statement()
+        structural = tuple(sorted(parser.structural))
+        shaping = tuple(values[i] for i in structural)
+        template = _insert_binder(node, parser.row_slots) \
+            if isinstance(node, Insert) else _binder(node)
+        if template is None:
+            template = lambda values, reps, node=node: node  # noqa: E731
+        cache.shapes.put(shape, structural)
+        cache.templates.put((shape, shaping), template)
+    first = {}
+    reps = tuple(first.setdefault((type(v), v), i)
+                 for i, v in enumerate(values))
+    statement = template(values, reps)
+    if isinstance(statement, (Select, Delete, Update)):
+        statement.params = Params(
+            (shape, shaping, tuple(map(type, values)), reps), tuple(values))
+    return statement
+
+
+def _binder(node):
+    """``(values, reps) -> node`` with every slotted Literal bound to
+    ``values[slot]`` (tagged with ``reps[slot]``), or None when ``node``
+    holds none.  Subtrees without one are shared, not copied."""
+    if isinstance(node, Literal):
+        slot = node.slot
+        if slot is None:
+            return None
+        return lambda values, reps: Literal(values[slot], reps[slot])
+    if isinstance(node, (list, tuple)):
+        children, build = list(node), type(node)
+    elif is_dataclass(node) and not isinstance(node, type):
+        children = [getattr(node, f.name) for f in fields(node) if f.init]
+        build = lambda items, cls=type(node): cls(*items)  # noqa: E731
+    else:
+        return None
+    parts = [(_binder(child), child) for child in children]
+    if all(part is None for part, _ in parts):
+        return None
+    return lambda values, reps: build([
+        child if part is None else part(values, reps)
+        for part, child in parts])
+
+
+def _insert_binder(node, row_slots):
+    """An INSERT's binder: its VALUES rows with each execution's values
+    (negated where the text put a minus before one)."""
+    def bind(values, reps):
+        out = [list(row) for row in node.rows]
+        for row, column, slot, negated in row_slots:
+            out[row][column] = -values[slot] if negated else values[slot]
+        return Insert(node.table, [tuple(row) for row in out],
+                      node.columns)
+    return bind

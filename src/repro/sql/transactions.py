@@ -174,7 +174,8 @@ class Transaction:
         the transaction stays open and consistent.
         """
         self._check_open()
-        statement = parse_sql(sql) if isinstance(sql, str) else sql
+        statement = parse_sql(sql, self._db.statement_cache) \
+            if isinstance(sql, str) else sql
         if isinstance(statement, (CreateTable, CreateMaterializedView,
                                   DropMaterializedView)):
             raise NotImplementedError("DDL inside a transaction")
@@ -207,15 +208,13 @@ class Transaction:
                             if k[0] != statement.table}
         return len(statement.rows)
 
-    def _matched_oids(self, table_name, where, context=None):
-        return self._db._eval_where(table_name, where, view=self,
-                                    context=context)
+    def _matched_oids(self, statement, context=None):
+        return self._db._eval_where(statement, view=self, context=context)
 
     def _buffer_delete(self, statement, context=None):
         self._db._reject_view_dml(statement.table)
         self.get(statement.table)
-        oids = self._matched_oids(statement.table, statement.where,
-                                  context=context)
+        oids = self._matched_oids(statement, context=context)
         dead = self._deleted.setdefault(statement.table, set())
         fresh = [o for o in oids if o not in dead]
         dead.update(fresh)
@@ -226,8 +225,7 @@ class Transaction:
         table = self.get(statement.table)
         new_rows = self._db._eval_update_rows(table, statement, view=self,
                                               context=context)
-        oids = self._matched_oids(statement.table, statement.where,
-                                  context=context)
+        oids = self._matched_oids(statement, context=context)
         dead = self._deleted.setdefault(statement.table, set())
         dead.update(oids)
         self._appends.setdefault(statement.table, []).extend(new_rows)

@@ -154,6 +154,26 @@ def test_profile_statement_returns_plan_resultset(db):
     assert db.last_profile.result.rows() == [(200,)]
 
 
+@pytest.mark.parametrize("path", ["direct", "session", "replicated"])
+def test_profile_statement_span_keeps_its_text(path):
+    """Sessions and replication groups hand the engine a parsed
+    statement; the query span still names the text it came from."""
+    from repro.replication import ReplicationGroup
+    from repro.sessions import SessionManager
+    sql = "PROFILE SELECT k FROM t WHERE k < 2"
+    if path == "replicated":
+        engine = ReplicationGroup(n_replicas=2, mode="sync")
+    else:
+        engine = Database()
+    run = engine.execute if path == "direct" \
+        else SessionManager(engine).session().execute
+    run("CREATE TABLE t (k BIGINT)")
+    run("INSERT INTO t VALUES (1), (2), (3)")
+    run(sql)
+    db = engine.primary.db if path == "replicated" else engine
+    assert db.last_profile.root.attrs["sql"] == sql
+
+
 def test_explain_statement_returns_plan_resultset(db):
     result = db.execute("EXPLAIN SELECT k FROM t WHERE k = 1")
     assert result.names == ["plan"]

@@ -114,7 +114,7 @@ class TestErrors:
 
 
 class TestPlanReuse:
-    """Plan-for-reuse (§2): compiled plans cached per SQL text."""
+    """Plan-for-reuse (§2): optimized plans cached per statement shape."""
 
     def test_repeated_query_reuses_plan(self, db):
         q = "SELECT host FROM logs WHERE code = 200"
@@ -132,8 +132,11 @@ class TestPlanReuse:
 
     def test_ddl_invalidates_cache(self, db):
         db.query("SELECT host FROM logs")
+        assert len(db.statement_cache) == 1
         db.execute("CREATE TABLE other (x INT)")
-        assert db._plan_cache == {}
+        assert len(db.statement_cache) == 0
+        db.query("SELECT host FROM logs")
+        assert db.plans_reused == 0
 
     def test_different_text_compiles_fresh(self, db):
         db.query("SELECT host FROM logs")
