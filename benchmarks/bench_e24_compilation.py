@@ -3,8 +3,9 @@
 A family of scan→filter(→project)→aggregate pipelines runs over a
 50k-row table three ways: operator-at-a-time interpreter, compiled
 (fused kernels, warm plan + kernel caches), and compiled + parallel
-(the morsel scheduler with the fused vectorized predicate).  The
-compiled column measures exactly what fusion buys: one generated pass
+(four morsel workers, each running the part plan's fused kernels over
+one row range).  The compiled column measures exactly what fusion
+buys: one generated pass
 over raw numpy arrays against N materialized operator hops, with the
 per-instruction dispatch and BAT-wrapping overhead gone.
 
@@ -133,9 +134,8 @@ def test_e24_compilation(benchmark, sink):
 
     # -- gates ---------------------------------------------------------------
     assert counters["interpreted_fallbacks"] == 0
-    # One cold miss per plan shape (plus the parallel legs' fused
-    # vectorized-predicate shapes, which share this cache); every
-    # repeat run is a cache hit.
+    # One cold miss per plan shape (plus the parallel runs' part-plan
+    # shapes, which share this cache); every repeat run is a cache hit.
     assert len(PIPELINES) <= counters["kernel_cache_misses"] \
         <= 2 * len(PIPELINES)
     assert counters["kernel_cache_hits"] >= len(PIPELINES) * REPS

@@ -4,10 +4,11 @@ The operator-at-a-time interpreter pays dispatch, BAT headers, property
 maintenance and full intermediate materialization per instruction —
 the paper's "interpretation tax" that architecture evolution keeps
 paying down.  This package recognizes hot scan→filter→project→aggregate
-pipelines in optimized MAL plans (and morsel predicate chains) and
-compiles each into a generated Python function over raw numpy arrays:
-one pass, zero intermediate BATs, constants parameterized so one kernel
-serves every same-shape query.
+pipelines in optimized MAL plans and compiles each into a generated
+Python function over raw numpy arrays: one pass, zero intermediate
+BATs, constants parameterized so one kernel serves every same-shape
+query.  Morsel workers run the same kernels: each runs its statement's
+part plan through the engine's compile path.
 
 Entry points:
 
@@ -16,9 +17,7 @@ Entry points:
   fallback to the interpreter;
 * :class:`PlanCompiler` — the embeddable driver (shape normalization,
   kernel cache, codegen fault site, mixed fragment/interpreter
-  execution);
-* :func:`compile_predicates` — WHERE-conjunct fusion for the morsel
-  scheduler.
+  execution).
 """
 
 from repro.compile.cache import KernelCache
@@ -26,18 +25,15 @@ from repro.compile.codegen import (CompiledPlan, CompileUnsupported,
                                    MIN_FRAGMENT_OPS, compile_program)
 from repro.compile.executor import PlanCompiler
 from repro.compile.shapes import COMPILER_VERSION, PlanShape, normalize
-from repro.compile.vectorized import FusedExpr, compile_predicates
 
 __all__ = [
     "COMPILER_VERSION",
     "CompileUnsupported",
     "CompiledPlan",
-    "FusedExpr",
     "KernelCache",
     "MIN_FRAGMENT_OPS",
     "PlanCompiler",
     "PlanShape",
-    "compile_predicates",
     "compile_program",
     "normalize",
 ]

@@ -621,19 +621,21 @@ class _Emitter:
         a = instr.args
         gids = self.value_expr(index, 1, a[1])
         ngroups = self.value_expr(index, 2, a[2])
-        if name == "count":
-            self.ln("{0} = rt.grouped_count({1}, {2})", self.vname(out),
-                    gids, ngroups)
-            return
         values = self.value_expr(index, 0, a[0])
-        if name in ("min", "max"):
-            vt = self.types[a[0].name] if isinstance(a[0], Var) else None
-            dtype = _NP_DTYPE[vt.atom.name]
-            self.ln("{0} = rt.grouped_{1}({2}, {3}, {4}, {5})",
-                    self.vname(out), name, values, gids, ngroups, dtype)
-        else:
+        if name != "count":
             self.ln("{0} = rt.grouped_{1}({2}, {3}, {4})", self.vname(out),
                     name, values, gids, ngroups)
+        elif a[0] == a[1]:
+            # count(*) counts the group ids themselves: every row.
+            self.ln("{0} = rt.grouped_count({1}, {2})", self.vname(out),
+                    gids, ngroups)
+        elif self.types[a[0].name].atom is STR:
+            self.ln("{0} = rt.grouped_count({1}, {2}, {3}, {4})",
+                    self.vname(out), gids, ngroups, values,
+                    self.heap_expr(a[0]))
+        else:
+            self.ln("{0} = rt.grouped_count({1}, {2}, {3})",
+                    self.vname(out), gids, ngroups, values)
 
 
 # ---------------------------------------------------------------------------

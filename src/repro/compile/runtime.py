@@ -20,7 +20,7 @@ hierarchy.
 
 import numpy as np
 
-from repro.core.algebra import group_arrays
+from repro.core import algebra
 from repro.core.atoms import _ATOMS, BIT, DBL, LNG, OID, STR
 from repro.core.bat import BAT
 from repro.core.heap import StringHeap
@@ -148,14 +148,8 @@ def select_eq(bat, value, cand, dense_ok=False):
     return oids(bat, pos[tail[pos] == needle])
 
 
-def mask_range(values, lo, hi, lo_incl, hi_incl):
-    """The boolean mask of ``algebra.selectrange``'s general branch."""
-    mask = np.ones(len(values), dtype=bool)
-    if lo is not None:
-        mask &= (values >= lo) if lo_incl else (values > lo)
-    if hi is not None:
-        mask &= (values <= hi) if hi_incl else (values < hi)
-    return mask
+#: ``algebra.selectrange``'s mask — the interpreter's own.
+mask_range = algebra.mask_range
 
 
 def select_range(bat, lo, hi, lo_incl, hi_incl, cand, dense_ok=False):
@@ -176,7 +170,7 @@ def select_range(bat, lo, hi, lo_incl, hi_incl, cand, dense_ok=False):
 # ---------------------------------------------------------------------------
 
 #: ``group.group`` on raw arrays — the interpreter's operator itself.
-group = group_arrays
+group = algebra.group_arrays
 
 
 def unique_positions(values):
@@ -186,89 +180,19 @@ def unique_positions(values):
 
 
 # ---------------------------------------------------------------------------
-# aggregates (nil semantics identical to repro.core.algebra)
+# aggregates: the interpreter's operators on raw arrays
 # ---------------------------------------------------------------------------
 
-def _valid_mask(values, atom, heap):
-    if atom.varsized:
-        return values != heap.NIL_OFFSET if heap is not None \
-            else values != STR.nil
-    return ~atom.is_nil(values)
-
-
-def agg_count(values, atom, heap=None):
-    return int(np.count_nonzero(_valid_mask(values, atom, heap)))
-
-
-def agg_sum(values, atom, heap=None):
-    mask = _valid_mask(values, atom, heap)
-    if not mask.any():
-        return None
-    kept = values[mask]
-    if kept.dtype.kind == "f":
-        return float(kept.sum())
-    return int(kept.sum())
-
-
-def agg_min(values, atom, heap=None):
-    mask = _valid_mask(values, atom, heap)
-    if not mask.any():
-        return None
-    if atom.varsized:
-        return min(decode(values, heap)[mask])
-    return values[mask].min().item()
-
-
-def agg_max(values, atom, heap=None):
-    mask = _valid_mask(values, atom, heap)
-    if not mask.any():
-        return None
-    if atom.varsized:
-        return max(decode(values, heap)[mask])
-    return values[mask].max().item()
-
-
-def agg_avg(values, atom, heap=None):
-    count = agg_count(values, atom, heap)
-    if count == 0:
-        return None
-    return agg_sum(values, atom, heap) / count
-
-
-def grouped_sum(values, gids, ngroups):
-    sums = np.bincount(gids, weights=values.astype(np.float64),
-                       minlength=ngroups)
-    if values.dtype.kind == "f":
-        return sums
-    return sums.astype(np.int64)
-
-
-def grouped_count(gids, ngroups):
-    return np.bincount(gids, minlength=ngroups).astype(np.int64)
-
-
-def grouped_min(values, gids, ngroups, dtype):
-    out = np.full(ngroups, np.inf)
-    np.minimum.at(out, gids, values.astype(np.float64))
-    if values.dtype.kind == "f":
-        return out
-    return out.astype(dtype)
-
-
-def grouped_max(values, gids, ngroups, dtype):
-    out = np.full(ngroups, -np.inf)
-    np.maximum.at(out, gids, values.astype(np.float64))
-    if values.dtype.kind == "f":
-        return out
-    return out.astype(dtype)
-
-
-def grouped_avg(values, gids, ngroups):
-    sums = np.bincount(gids, weights=values.astype(np.float64),
-                       minlength=ngroups)
-    counts = np.bincount(gids, minlength=ngroups)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return sums / counts
+agg_count = algebra.aggr_count_arrays
+agg_sum = algebra.aggr_sum_arrays
+agg_min = algebra.aggr_min_arrays
+agg_max = algebra.aggr_max_arrays
+agg_avg = algebra.aggr_avg_arrays
+grouped_sum = algebra.grouped_sum_arrays
+grouped_count = algebra.grouped_count_arrays
+grouped_min = algebra.grouped_min_arrays
+grouped_max = algebra.grouped_max_arrays
+grouped_avg = algebra.grouped_avg_arrays
 
 
 # ---------------------------------------------------------------------------

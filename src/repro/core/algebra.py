@@ -112,12 +112,18 @@ def select_range(bat, lo=None, hi=None, lo_incl=True, hi_incl=False,
         return _positions_to_candidates(bat, positions)
     positions = _candidates_to_positions(bat, candidates)
     values = _comparable_tail(bat, positions)
-    mask = np.ones(len(positions), dtype=bool)
+    return _positions_to_candidates(
+        bat, positions[mask_range(values, lo, hi, lo_incl, hi_incl)])
+
+
+def mask_range(values, lo, hi, lo_incl, hi_incl):
+    """Where ``lo (<|<=) values (<|<=) hi``; None bounds are open."""
+    mask = np.ones(len(values), dtype=bool)
     if lo is not None:
         mask &= (values >= lo) if lo_incl else (values > lo)
     if hi is not None:
         mask &= (values <= hi) if hi_incl else (values < hi)
-    return _positions_to_candidates(bat, positions[mask])
+    return mask
 
 
 def estimate_selectivity(bat, lo=None, hi=None, lo_incl=True,
@@ -134,12 +140,8 @@ def estimate_selectivity(bat, lo=None, hi=None, lo_incl=True,
     step = max(n // sample_size, 1)
     positions = np.arange(0, n, step, dtype=np.int64)
     values = _comparable_tail(bat, positions)
-    mask = np.ones(len(positions), dtype=bool)
-    if lo is not None:
-        mask &= (values >= lo) if lo_incl else (values > lo)
-    if hi is not None:
-        mask &= (values <= hi) if hi_incl else (values < hi)
-    return float(np.count_nonzero(mask)) / len(positions)
+    return float(np.count_nonzero(
+        mask_range(values, lo, hi, lo_incl, hi_incl))) / len(positions)
 
 
 def select_mask(bat, mask_bat, candidates=None):
@@ -501,90 +503,212 @@ def unique(bat):
 # ---------------------------------------------------------------------------
 # aggregates
 # ---------------------------------------------------------------------------
+#
+# Each aggregate has one implementation on raw arrays (the ``*_arrays``
+# functions), which generated kernels call as ``repro.compile.runtime``
+# aliases; the BAT functions are the interpreter's wrappers.  Nils are
+# skipped, integer sums are exact, and an aggregate of no value is nil
+# (a scalar: None; count: 0).
 
-def _valid_mask(bat):
-    if bat.atom.varsized:
-        return bat.tail != bat.heap.NIL_OFFSET
-    return ~bat.atom.is_nil(bat.tail)
+def _present(values, atom=None, heap=None):
+    """Mask of ``values``' non-nil entries, or None when none can be
+    nil.  String offsets need their heap; without an atom a fixed-width
+    nil is the dtype's sentinel (NaN, or the integer minimum)."""
+    if heap is not None:
+        return values != heap.NIL_OFFSET
+    if values.dtype.kind == "f":
+        # NaN, the float nil, is the one value unequal to itself.
+        return values == values
+    if atom is not None:
+        return values != atom.nil
+    if values.dtype.kind == "i":
+        return values != np.iinfo(values.dtype).min
+    return None
+
+
+def aggr_count_arrays(values, atom, heap=None):
+    return int(np.count_nonzero(_present(values, atom, heap)))
+
+
+def aggr_sum_arrays(values, atom, heap=None):
+    values = values[_present(values, atom, heap)]
+    if not len(values):
+        return None
+    return float(values.sum()) if values.dtype.kind == "f" \
+        else int(values.sum())
+
+
+def aggr_min_arrays(values, atom, heap=None):
+    return _extreme(min, values, atom, heap)
+
+
+def aggr_max_arrays(values, atom, heap=None):
+    return _extreme(max, values, atom, heap)
+
+
+def _extreme(pick, values, atom, heap):
+    values = values[_present(values, atom, heap)]
+    if not len(values):
+        return None
+    if atom.varsized:
+        return pick(heap.get_many(values))
+    return (values.min() if pick is min else values.max()).item()
+
+
+def aggr_avg_arrays(values, atom, heap=None):
+    count = aggr_count_arrays(values, atom, heap)
+    if count == 0:
+        return None
+    return aggr_sum_arrays(values, atom, heap) / count
 
 
 def aggr_count(bat):
-    return int(np.count_nonzero(_valid_mask(bat)))
+    return aggr_count_arrays(bat.tail, bat.atom, bat.heap)
 
 
 def aggr_sum(bat):
-    mask = _valid_mask(bat)
-    if not mask.any():
-        return None
-    values = bat.tail[mask]
-    if values.dtype.kind == "f":
-        return float(values.sum())
-    return int(values.sum())
+    return aggr_sum_arrays(bat.tail, bat.atom, bat.heap)
 
 
 def aggr_min(bat):
-    values = _comparable_tail(bat)
-    mask = _valid_mask(bat)
-    if not mask.any():
-        return None
-    values = values[mask]
-    return min(values) if bat.atom.varsized else values.min().item()
+    return aggr_min_arrays(bat.tail, bat.atom, bat.heap)
 
 
 def aggr_max(bat):
-    values = _comparable_tail(bat)
-    mask = _valid_mask(bat)
-    if not mask.any():
-        return None
-    values = values[mask]
-    return max(values) if bat.atom.varsized else values.max().item()
+    return aggr_max_arrays(bat.tail, bat.atom, bat.heap)
 
 
 def aggr_avg(bat):
-    count = aggr_count(bat)
-    if count == 0:
-        return None
-    return aggr_sum(bat) / count
+    return aggr_avg_arrays(bat.tail, bat.atom, bat.heap)
+
+
+def _valid(values, gids, heap=None):
+    """``(values, gids, dropped)`` without the nil entries; ``dropped``
+    says whether any were removed."""
+    present = _present(values, heap=heap)
+    if present is None or present.all():
+        return values, gids, False
+    return values[present], gids[present], True
+
+
+def _nil_where_empty(out, gids, ngroups, nil):
+    """Set ``nil`` in the groups ``gids`` never mentions."""
+    out[np.bincount(gids, minlength=ngroups) == 0] = nil
+    return out
+
+
+def grouped_count_arrays(gids, ngroups, values=None, heap=None):
+    """Per-group count of non-nil ``values`` (of rows, without them)."""
+    if values is not None:
+        _, gids, _ = _valid(values, gids, heap)
+    return np.bincount(gids, minlength=ngroups).astype(np.int64,
+                                                       copy=False)
+
+
+def _sums(values, gids, ngroups):
+    """Per-group sums of nil-free values: float64 for floats, exact
+    int64 otherwise (0 for a group with no value)."""
+    if values.dtype.kind == "f":
+        # (bincount of nothing is int64 even with weights)
+        return np.bincount(gids, weights=values,
+                           minlength=ngroups).astype(np.float64, copy=False)
+    out = np.zeros(ngroups, dtype=np.int64)
+    # Same dtype on both sides: ufunc.at's fast loop.
+    np.add.at(out, gids, values.astype(np.int64, copy=False))
+    return out
+
+
+def grouped_sum_arrays(values, gids, ngroups):
+    """Per-group sums (see :func:`_sums`); nil where a group has no
+    value."""
+    values, gids, dropped = _valid(values, gids)
+    out = _sums(values, gids, ngroups)
+    if not dropped:
+        return out
+    return _nil_where_empty(out, gids, ngroups,
+                            DBL.nil if out.dtype.kind == "f" else LNG.nil)
+
+
+def grouped_avg_arrays(values, gids, ngroups):
+    """Per-group means (float64); nil (0 / 0) where a group has no
+    value."""
+    values, gids, _ = _valid(values, gids)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return _sums(values, gids, ngroups) / np.bincount(
+            gids, minlength=ngroups)
+
+
+def grouped_min_arrays(values, gids, ngroups, heap=None):
+    """Per-group minima in the input's own type (floats as float64;
+    string offsets into ``heap``)."""
+    return _grouped_extreme(np.minimum, values, gids, ngroups, heap)
+
+
+def grouped_max_arrays(values, gids, ngroups, heap=None):
+    """Per-group maxima, as :func:`grouped_min_arrays`."""
+    return _grouped_extreme(np.maximum, values, gids, ngroups, heap)
+
+
+def _grouped_extreme(ufunc, values, gids, ngroups, heap):
+    lowest = ufunc is np.minimum
+    values, gids, dropped = _valid(values, gids, heap)
+    if heap is not None:
+        # Strings: fold each distinct value's rank, map back to offsets.
+        distinct, inverse = np.unique(values, return_inverse=True)
+        by_value = np.argsort(np.asarray(heap.get_many(distinct),
+                                         dtype=object), kind="stable")
+        rank = np.empty(len(distinct), dtype=np.int64)
+        rank[by_value] = np.arange(len(distinct), dtype=np.int64)
+        best = np.full(ngroups, len(distinct) if lowest else -1,
+                       dtype=np.int64)
+        ufunc.at(best, gids, rank[inverse].reshape(-1))
+        out = np.full(ngroups, heap.NIL_OFFSET, dtype=np.int64)
+        found = (best >= 0) & (best < len(distinct))
+        out[found] = distinct[by_value[best[found]]]
+        return out
+    kind = values.dtype.kind
+    if kind == "f":
+        values = values.astype(np.float64, copy=False)
+        init, nil = (np.inf if lowest else -np.inf), DBL.nil
+    elif kind == "b":
+        init, nil = lowest, None
+    else:
+        info = np.iinfo(values.dtype)
+        init, nil = (info.max if lowest else info.min), info.min
+    out = np.full(ngroups, init, dtype=values.dtype)
+    ufunc.at(out, gids, values)
+    return _nil_where_empty(out, gids, ngroups, nil) if dropped else out
 
 
 def grouped_sum(bat, gids, ngroups):
     """Per-group sums as a BAT aligned with group ids 0..ngroups-1."""
-    weights = bat.tail.astype(np.float64)
-    sums = np.bincount(gids.tail, weights=weights, minlength=ngroups)
-    if bat.tail.dtype.kind == "f":
-        return BAT(DBL, sums)
-    return BAT(LNG, sums.astype(np.int64))
+    sums = grouped_sum_arrays(bat.tail, gids.tail, ngroups)
+    return BAT(DBL if sums.dtype.kind == "f" else LNG, sums)
 
 
 def grouped_count(bat, gids, ngroups):
-    counts = np.bincount(gids.tail, minlength=ngroups)
-    return BAT(LNG, counts.astype(np.int64))
+    # count(*) counts the group ids themselves: every row.
+    values = None if bat is gids else bat.tail
+    return BAT(LNG, grouped_count_arrays(gids.tail, ngroups, values,
+                                         bat.heap))
 
 
 def grouped_min(bat, gids, ngroups):
-    out = np.full(ngroups, np.inf)
-    np.minimum.at(out, gids.tail, bat.tail.astype(np.float64))
-    return _grouped_extreme_result(bat, out)
+    return _grouped_extreme_bat(grouped_min_arrays, bat, gids, ngroups)
 
 
 def grouped_max(bat, gids, ngroups):
-    out = np.full(ngroups, -np.inf)
-    np.maximum.at(out, gids.tail, bat.tail.astype(np.float64))
-    return _grouped_extreme_result(bat, out)
+    return _grouped_extreme_bat(grouped_max_arrays, bat, gids, ngroups)
 
 
-def _grouped_extreme_result(bat, out):
-    if bat.tail.dtype.kind == "f":
-        return BAT(DBL, out)
-    return BAT(bat.atom, out.astype(bat.atom.dtype))
+def _grouped_extreme_bat(fn, bat, gids, ngroups):
+    out = fn(bat.tail, gids.tail, ngroups, bat.heap)
+    atom = DBL if out.dtype.kind == "f" else bat.atom
+    return BAT(atom, out, heap=bat.heap)
 
 
 def grouped_avg(bat, gids, ngroups):
-    sums = np.bincount(gids.tail, weights=bat.tail.astype(np.float64),
-                       minlength=ngroups)
-    counts = np.bincount(gids.tail, minlength=ngroups)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return BAT(DBL, sums / counts)
+    return BAT(DBL, grouped_avg_arrays(bat.tail, gids.tail, ngroups))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class Atom:
 
     def is_nil(self, values):
         """Element-wise nil test (works for scalars and arrays)."""
-        if isinstance(self.nil, float) and np.isnan(self.nil):
+        if self.nil != self.nil:   # NaN, the one value unequal to itself
             return np.isnan(values)
         return np.equal(values, self.nil)
 

@@ -1,4 +1,4 @@
-"""Morsel-driven intra-query parallelism for the vectorized engine.
+"""Morsel-driven intra-query parallelism.
 
 The paper's X100 line (Section 5) removes per-tuple interpretation
 overhead with vectors; the next wall is hardware parallelism.  This
@@ -8,7 +8,12 @@ into *morsels* dispatched by a work-stealing scheduler, per-worker
 pipelines run over private simulated cache hierarchies sharing one
 last-level cache, and :class:`Exchange` operators merge the partial
 streams — so parallel speedup, and its shared-LLC contention ceiling,
-are both reproduced (experiment E17).
+are both reproduced (experiment E17, over vectorized pipelines).
+
+SQL uses the same exchange with no engine of its own:
+:class:`ParallelSelectExecutor` runs a statement's cached part plan —
+the single-node engine's plan, compiled or interpreted — once per row
+range and merges the parts through :mod:`repro.sql.partials`.
 
 Workers are *simulated*: execution is single-threaded and interleaves
 worker pulls deterministically, making results and cache traffic

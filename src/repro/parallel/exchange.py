@@ -4,8 +4,10 @@ The exchange idiom (Graefe's Volcano; "Query Optimization in the Wild"
 notes every industrial engine converged on it) encapsulates parallelism
 *inside* operators so the rest of the pipeline stays oblivious:
 
-* :class:`MorselScan` — a leaf that pulls morsels from the scheduler
-  instead of owning a fixed range, so the scan parallelizes by data.
+* :class:`MorselSource` — a leaf that pulls morsels from the scheduler
+  instead of owning a fixed range, so the work parallelizes by data;
+  :class:`MorselScan` slices vectors out of each morsel, the SQL
+  executor runs a statement's plan over it.
 * :class:`ExchangeUnion` — N:1 merge of per-worker partial streams,
   pulling round-robin so the workers' simulated cache traffic
   interleaves in the shared LLC exactly as concurrent cores would.
@@ -58,13 +60,12 @@ class ParallelExecutionFailed(RuntimeError):
         super().__init__("all {0} workers died".format(len(self.failures)))
 
 
-class MorselScan(VectorOperator):
-    """Scan whose row ranges come from a morsel scheduler.
+class MorselSource(VectorOperator):
+    """A worker's leaf whose row ranges come from a morsel scheduler.
 
-    ``columns`` maps names to full numpy arrays; the operator slices
-    vectors out of whichever morsel the scheduler hands its worker next,
-    so two MorselScans over the same scheduler partition the table
-    between them dynamically.
+    :meth:`next_morsel` is the one morsel acquisition path: the
+    per-morsel governance checkpoint, the ``morsel.run`` fault site and
+    the ``morsel`` span.  Subclasses turn each morsel into batches.
 
     ``faults`` arms the ``morsel.run`` site, hit once per morsel
     acquisition (plus once per retry): transient faults are retried up
@@ -73,13 +74,9 @@ class MorselScan(VectorOperator):
     :class:`~repro.faults.CrashError` — this worker's death.
     """
 
-    def __init__(self, context, columns, scheduler, worker=0,
-                 faults=None, max_retries=3, governance=None):
+    def __init__(self, context, scheduler, worker=0, faults=None,
+                 max_retries=3, governance=None):
         super().__init__(context)
-        self.columns = dict(columns)
-        lengths = {len(v) for v in self.columns.values()}
-        if len(lengths) > 1:
-            raise ValueError("ragged scan input")
         self.scheduler = scheduler
         self.worker = worker
         self.faults = faults if faults is not None else NO_FAULTS
@@ -89,13 +86,9 @@ class MorselScan(VectorOperator):
         self.retries = 0
         self.backoff_units = 0
         self.stall_units = 0
-        self._morsel = None
-        self._pos = 0
         self._span_open = False
 
     def open(self):
-        self._morsel = None
-        self._pos = 0
         self._span_open = False
 
     def _end_morsel_span(self):
@@ -130,24 +123,54 @@ class MorselScan(VectorOperator):
                         from fault
                 self.backoff_units += 2 ** (attempts - 1)
 
+    def next_morsel(self):
+        """This worker's next acquired morsel, or None when none is
+        left; the previous morsel's span ends here."""
+        morsel = self.scheduler.next_morsel(self.worker)
+        if morsel is None:
+            self._end_morsel_span()
+            return None
+        if self.governance.active:
+            # Per-morsel cancellation point, before the morsel is
+            # processed: a kill here propagates through the exchange
+            # (which quarantines only worker deaths) and leaves the
+            # per-query scheduler abandoned, not corrupted.
+            self.governance.checkpoint(CHECK_MORSEL)
+        self._acquire(morsel)
+        self._begin_morsel_span(morsel)
+        return morsel
+
+
+class MorselScan(MorselSource):
+    """Scan whose row ranges come from a morsel scheduler.
+
+    ``columns`` maps names to full numpy arrays; the operator slices
+    vectors out of whichever morsel the scheduler hands its worker next,
+    so two MorselScans over the same scheduler partition the table
+    between them dynamically.
+    """
+
+    def __init__(self, context, columns, scheduler, worker=0, **kwargs):
+        super().__init__(context, scheduler, worker=worker, **kwargs)
+        self.columns = dict(columns)
+        lengths = {len(v) for v in self.columns.values()}
+        if len(lengths) > 1:
+            raise ValueError("ragged scan input")
+        self._morsel = None
+        self._pos = 0
+
+    def open(self):
+        super().open()
+        self._morsel = None
+        self._pos = 0
+
     def next_batch(self):
         while True:
             if self._morsel is None:
-                morsel = self.scheduler.next_morsel(self.worker)
-                if morsel is None:
-                    self._end_morsel_span()
+                self._morsel = self.next_morsel()
+                if self._morsel is None:
                     return None
-                if self.governance.active:
-                    # Per-morsel cancellation point, before the morsel
-                    # is processed: a kill here propagates through the
-                    # exchange (which quarantines only worker deaths)
-                    # and leaves the per-query scheduler abandoned, not
-                    # corrupted.
-                    self.governance.checkpoint(CHECK_MORSEL)
-                self._acquire(morsel)
-                self._begin_morsel_span(morsel)
-                self._morsel = morsel
-                self._pos = morsel.start
+                self._pos = self._morsel.start
             if self._pos >= self._morsel.stop:
                 self._morsel = None
                 continue
@@ -223,8 +246,8 @@ class Exchange(ExchangeUnion):
     """1:N:1 exchange: parallelize a pipeline across a worker set.
 
     ``plan_factory(worker_ctx, scheduler, worker_id)`` builds one
-    worker's pipeline (typically rooted in a :class:`MorselScan` on the
-    shared ``scheduler``); the exchange instantiates one clone per
+    worker's pipeline (typically rooted in a :class:`MorselSource` on
+    the shared ``scheduler``); the exchange instantiates one clone per
     worker in ``worker_set`` and unions their outputs.
     """
 

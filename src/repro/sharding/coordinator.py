@@ -526,8 +526,9 @@ class ShardedDatabase:
         if plan.pruned:
             lines.append("  pruned by partition-key equality")
         if plan.kind == "scatter":
-            lines.append("  mode: {0}".format(plan.mode))
-            if plan.mode == "agg":
+            lines.append("  mode: {0}".format(
+                "agg" if plan.merge.aggregate else "rows"))
+            if plan.merge.aggregate:
                 lines.append("  partials: {0}".format(
                     plan.merge.partial_kinds))
             lines.append("  shard select: {0!r}".format(plan.shard_select))
@@ -660,13 +661,9 @@ class ShardedDatabase:
                 self._broadcast_cancel(plan.shards[len(results):],
                                        context)
                 raise
-            if plan.mode == "rows":
-                rows = merge_rows(plan, [r.rows() for r in results])
-                names = results[0].names[:plan.merge.n_items]
-            else:
-                rows = merge_aggregates(plan, [r.rows() for r in results])
-                names = plan.item_names
-            return _rows_result(names, rows)
+            merge = merge_aggregates if plan.merge.aggregate else merge_rows
+            rows = merge(plan, [r.rows() for r in results])
+            return _rows_result(plan.merge.names, rows)
         self.stats.gather += 1
         scratch = self._gather_database(plan, runner, context=context,
                                         hedged=hedged, workers=workers)

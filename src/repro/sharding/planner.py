@@ -32,11 +32,8 @@ engine on its fragment) plus a merge recipe.  Three plan kinds:
 
 from dataclasses import dataclass, field
 
-from repro.sql.ast import (
-    BinOp, Column, Literal, Select, SelectItem, contains_aggregate,
-    expand_items, split_conjuncts,
-)
-from repro.sql.partials import Undecomposable, split_aggregates, split_rows
+from repro.sql.ast import BinOp, Column, Literal, split_conjuncts
+from repro.sql.partials import Undecomposable, split_select
 
 
 class ShardPlanError(Exception):
@@ -94,9 +91,7 @@ class ScatterPlan:
     tables: list = field(default_factory=list)        # referenced TableInfo
     pruned: bool = False       # a key-equality conjunct cut the fan-out
     shard_select: object = None
-    mode: str = None           # scatter flavour: 'rows' | 'agg'
     merge: object = None       # scatter: the partials.SplitPlan
-    item_names: list = field(default_factory=list)
 
 
 # -- predicate analysis --------------------------------------------------------
@@ -194,44 +189,9 @@ def plan_select(schema, select, shard_map):
     if not _co_partitioned(select, bindings):
         return ScatterPlan("gather", shards, select, tables=infos)
     try:
-        items = expand_items(select.items,
-                             [(b, info.column_names) for b, info in bindings])
-        if select.group_by or any(contains_aggregate(e) for _, e in items):
-            return _plan_aggregate(select, items, infos, shards)
-        return _plan_rows(select, items, infos, shards)
-    except (LookupError, Undecomposable):
+        shard_select, merge = split_select(
+            select, [(b, info.column_names) for b, info in bindings])
+    except Undecomposable:
         return ScatterPlan("gather", shards, select, tables=infos)
-
-
-def _plan_rows(select, items, infos, shards):
-    """Plain projection: concatenate shard rows, re-sort on hidden
-    order-key columns shipped alongside the visible items."""
-    merge, hidden = split_rows(select, items)
-    shard_select = Select(
-        items=list(select.items) + [
-            SelectItem(expr, "__o{0}".format(i))
-            for i, expr in enumerate(hidden)],
-        table=select.table, joins=list(select.joins),
-        where=select.where, distinct=select.distinct,
-        # ORDER BY + LIMIT push down together (per-shard top-k); a bare
-        # LIMIT pushes alone, a bare ORDER BY is wasted shard work.
-        order_by=list(select.order_by) if select.limit is not None else [],
-        limit=select.limit)
-    return ScatterPlan(
-        "scatter", shards, select, tables=infos, shard_select=shard_select,
-        mode="rows", merge=merge)
-
-
-def _plan_aggregate(select, items, infos, shards):
-    """Decompose aggregates into shard partials plus a merge recipe."""
-    merge = split_aggregates(select, items)
-    shard_items = [SelectItem(g, "__g{0}".format(i))
-                   for i, g in enumerate(select.group_by)]
-    shard_items += [SelectItem(call, "__p{0}".format(i))
-                    for i, (_, call) in enumerate(merge.partials)]
-    shard_select = Select(
-        items=shard_items, table=select.table, joins=list(select.joins),
-        where=select.where, group_by=list(select.group_by))
-    return ScatterPlan(
-        "scatter", shards, select, tables=infos, shard_select=shard_select,
-        mode="agg", merge=merge, item_names=[name for name, _ in items])
+    return ScatterPlan("scatter", shards, select, tables=infos,
+                       shard_select=shard_select, merge=merge)

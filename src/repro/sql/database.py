@@ -74,6 +74,23 @@ def _render(value):
     return str(value)
 
 
+def _decoded(bat):
+    """A result column as Python values, every nil as None — as scalar
+    aggregates and strings already come back."""
+    values = bat.decoded()
+    atom = bat.atom
+    if atom.varsized or atom.dtype.kind not in "if":
+        return values
+    for position in atom.is_nil(bat.tail).nonzero()[0].tolist():
+        values[position] = None
+    return values
+
+
+def _scalar(value):
+    """A scalar result value; NaN, the DOUBLE nil, as None."""
+    return None if value != value else value
+
+
 class Database:
     """An embedded column-store database (Figure 1, end to end).
 
@@ -105,14 +122,18 @@ class Database:
         execution (``morsel.run``).  Defaults to the inert injector.
 
     Parallel execution: ``execute(sql, workers=N)`` (or the session
-    pragma ``SET workers = N``) runs SELECTs on N simulated morsel
-    workers; queries without a parallel plan shape silently fall back
-    to the serial engine (counted in ``parallel_fallbacks``).  Parallel
-    answers are the same multiset as serial answers, in exchange-union
-    order rather than scan order.  An injected worker death mid-query
+    pragma ``SET workers = N``) runs a SELECT on N simulated morsel
+    workers, each running the statement's cached part plan over one
+    row range of the first FROM table (:mod:`repro.parallel`); the
+    parts merge in range order, so answers equal the serial engine's.
+    FROM-less SELECTs, shapes the split cannot express and a self-join
+    of the first table silently run serially (counted in
+    ``parallel_fallbacks``).  An injected worker death mid-query
     re-dispatches the dead worker's morsels to the survivors (recorded
     in ``last_parallel.failures``); if every worker dies the query
     falls back to the serial engine.
+
+    Results hold None for every NULL, whichever engine ran them.
     """
 
     def __init__(self, pipeline=DEFAULT_PIPELINE, recycler=None,
@@ -254,9 +275,7 @@ class Database:
 
     def _execute_statement(self, sql, workers=None, compile=None,
                            context=None):
-        effective = self.default_workers if workers is None else workers
-        if effective < 1:
-            raise ValueError("workers must be at least 1")
+        effective = self._workers(workers)
         compiled = self.default_compile if compile is None else compile
         # Pre-parsed statement ASTs run directly (sessions, sharding and
         # replication route statements as ASTs, not text).
@@ -264,11 +283,11 @@ class Database:
             if isinstance(sql, str) else sql
         if isinstance(statement, Select):
             if effective > 1:
-                result = self._try_parallel(statement, effective,
-                                            compiled=compiled,
+                result = self._run_parallel(statement, effective, compiled,
+                                            self.tracer, self.smp_profile,
                                             context=context)
                 if result is not None:
-                    return result
+                    return ResultSet(result.names, result.columns)
             return self._run_select(statement, view=self.catalog,
                                     compiled=compiled, context=context)
         if isinstance(statement, Explain):
@@ -351,13 +370,23 @@ class Database:
         """Shorthand: execute a SELECT and return its rows."""
         return self.execute(sql, workers=workers, compile=compile).rows()
 
+    def _workers(self, workers):
+        """The worker count a statement runs with: ``workers``, or the
+        session's ``SET workers`` default when None.  One check for
+        ``execute``, ``profile`` and the pragma: a positive int (not a
+        bool), else ValueError."""
+        if workers is None:
+            return self.default_workers
+        if not isinstance(workers, int) or isinstance(workers, bool) \
+                or workers < 1:
+            raise ValueError(
+                "workers must be a positive integer, got {0!r}".format(
+                    workers))
+        return workers
+
     def _apply_pragma(self, pragma):
         if pragma.name == "workers":
-            value = pragma.value
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                raise ValueError("SET workers needs a positive integer")
-            self.default_workers = value
+            self.default_workers = self._workers(pragma.value)
             return None
         if pragma.name == "compile":
             value = pragma.value
@@ -386,20 +415,19 @@ class Database:
                     name))
         return value or None
 
-    def _try_parallel(self, statement, workers, compiled=False,
-                      context=None):
-        """Morsel-parallel SELECT; None when the shape has no parallel
-        plan or every worker died (the caller then runs the serial
-        engine — graceful degradation, recorded in ``last_parallel``)."""
+    def _run_parallel(self, statement, workers, compiled, tracer,
+                      smp_profile, context=None):
+        """A SELECT's :class:`~repro.parallel.ParallelResult`, or None
+        when the shape has no parallel plan or every worker died (the
+        caller then runs the serial engine — graceful degradation,
+        recorded in ``last_parallel``).  Keeps the parallel counters."""
         from repro.parallel.exchange import ParallelExecutionFailed
         from repro.parallel.executor import (
             ParallelResult, ParallelSelectExecutor, ParallelUnsupported,
         )
         executor = ParallelSelectExecutor(
-            self.catalog, workers, smp_profile=self.smp_profile,
-            faults=self.faults, tracer=self.tracer,
-            compiler=self.plan_compiler if compiled else None,
-            governance=context)
+            self, workers, smp_profile=smp_profile, tracer=tracer,
+            governance=context, compiled=compiled)
         try:
             result = executor.execute(statement)
         except ParallelUnsupported:
@@ -408,12 +436,12 @@ class Database:
         except ParallelExecutionFailed as failure:
             self.parallel_fallbacks += 1
             self.last_parallel = ParallelResult(
-                [], [], None, None, failures=list(failure.failures),
+                [], [], None, failures=list(failure.failures),
                 fell_back=True)
             return None
         self.parallel_runs += 1
         self.last_parallel = result
-        return ResultSet(result.names, result.columns)
+        return result
 
     def explain(self, sql):
         """The optimized MAL program for a SELECT, as text."""
@@ -449,18 +477,17 @@ class Database:
         statement = parse_sql(sql) if isinstance(sql, str) else sql
         if isinstance(statement, Profile):
             statement = statement.statement
-        effective = self.default_workers if workers is None else workers
-        if effective < 1:
-            raise ValueError("workers must be at least 1")
         profile = self._profile_statement(
             statement, sql if isinstance(sql, str) else "",
-            workers=effective, hardware_profile=hardware_profile,
+            workers=self._workers(workers),
+            hardware_profile=hardware_profile,
             compile=compile)
         self.last_profile = profile
         return profile
 
     def _profile_statement(self, statement, sql_text, workers=1,
                            hardware_profile=None, compile=None):
+        from repro.hardware.profiles import SCALED_DEFAULT, SCALED_SMP
         from repro.observability.profiling import QueryProfile
         from repro.observability.tracer import Tracer
         if not isinstance(statement, Select):
@@ -470,66 +497,32 @@ class Database:
         tracer = Tracer()
         compiled = self.default_compile if compile is None else compile
         if workers > 1:
-            profiled = self._profile_parallel(statement, workers, tracer,
-                                              sql_text, compiled=compiled)
-            if profiled is not None:
-                return profiled
-        if hardware_profile is None:
-            from repro.hardware.profiles import SCALED_DEFAULT
-            hardware_profile = SCALED_DEFAULT
-        hierarchy = hardware_profile.make_hierarchy()
+            with tracer.span("query", kind="query", sql=sql_text[:200],
+                             engine="parallel", workers=workers):
+                result = self._run_parallel(
+                    statement, workers, compiled, tracer,
+                    SCALED_SMP if self.smp_profile is None
+                    else self.smp_profile)
+            if result is not None:
+                return QueryProfile(tracer.roots[-1],
+                                    ResultSet(result.names, result.columns),
+                                    worker_set=result.worker_set)
+            tracer.roots.clear()  # restart the tree for the serial run
+        hierarchy = (SCALED_DEFAULT if hardware_profile is None
+                     else hardware_profile).make_hierarchy()
         tracer.watch(hierarchy)
         with tracer.span("query", kind="query", sql=sql_text[:200],
                          engine="serial"):
             with tracer.span("compile", kind="phase"):
                 program, names = compile_select(self.catalog, statement)
                 program = self.pipeline.optimize(program)
-            interpreter = Interpreter(self.catalog,
-                                      recycler=self.recycler,
-                                      tracer=tracer, hierarchy=hierarchy)
             with tracer.span("execute", kind="pipeline",
                              compiled=compiled):
-                out = None
-                if compiled:
-                    out = self.plan_compiler.try_run(
-                        program, self.catalog, interpreter,
-                        tracer=tracer, hierarchy=hierarchy)
-                if out is None:
-                    out = interpreter.run(program)
-            result = self._materialize_result(program, names, out)
+                result = self._run_compiled(
+                    program, names, self.catalog, compiled=compiled,
+                    tracer=tracer, hierarchy=hierarchy)
         return QueryProfile(tracer.roots[-1], result,
                             hierarchy=hierarchy)
-
-    def _profile_parallel(self, statement, workers, tracer, sql_text,
-                          compiled=False):
-        """Parallel profile, or None on fallback (no parallel plan /
-        all workers died) — the caller then profiles serially."""
-        from repro.observability.profiling import QueryProfile
-        from repro.parallel.exchange import ParallelExecutionFailed
-        from repro.parallel.executor import (
-            ParallelSelectExecutor, ParallelUnsupported,
-        )
-        smp_profile = self.smp_profile
-        if smp_profile is None:
-            from repro.hardware.profiles import SCALED_SMP
-            smp_profile = SCALED_SMP
-        executor = ParallelSelectExecutor(
-            self.catalog, workers, smp_profile=smp_profile,
-            faults=self.faults, tracer=tracer,
-            compiler=self.plan_compiler if compiled else None)
-        try:
-            with tracer.span("query", kind="query", sql=sql_text[:200],
-                             engine="parallel", workers=workers):
-                result = executor.execute(statement)
-        except (ParallelUnsupported, ParallelExecutionFailed):
-            self.parallel_fallbacks += 1
-            tracer.roots.clear()  # restart the tree for the serial run
-            return None
-        self.parallel_runs += 1
-        self.last_parallel = result
-        return QueryProfile(tracer.roots[-1],
-                            ResultSet(result.names, result.columns),
-                            worker_set=result.worker_set)
 
     def begin(self, pin=False):
         """Start a snapshot-isolation transaction.
@@ -544,7 +537,8 @@ class Database:
 
     def _plan(self, statement, role, build):
         """``(optimized program, output names)`` of one planned
-        statement (``role`` "select", "where" or "update").
+        statement (``role`` "select", "where", "update", or "part" for
+        the part SELECT morsel workers run).
 
         A statement parsed through the statement cache carries
         ``params``: its plan comes from the cache when one fits its
@@ -556,7 +550,7 @@ class Database:
         if params is not None:
             found = self.statement_cache.plan(role, params, self.catalog)
             if found is not None:
-                if role == "select":
+                if role in ("select", "part"):
                     self.plans_reused += 1
                 return found
         orders = []
@@ -574,10 +568,19 @@ class Database:
                                   context=context)
 
     def _run_compiled(self, program, names, view, compiled=None,
-                      context=None):
-        interpreter = self.interpreter if view is self.catalog \
-            else Interpreter(view, recycler=self.recycler,
-                             tracer=self.tracer)
+                      context=None, tracer=None, hierarchy=None):
+        """Run a planned program against ``view`` (the catalog, a
+        transaction snapshot or a morsel's range view), compiled when
+        ``compiled`` (default: the engine's) says so.  A ``tracer`` or
+        ``hierarchy`` gives the run its own span stream and simulated
+        caches."""
+        tracer = self.tracer if tracer is None else tracer
+        if view is self.catalog and tracer is self.tracer \
+                and hierarchy is None:
+            interpreter = self.interpreter
+        else:
+            interpreter = Interpreter(view, recycler=self.recycler,
+                                      tracer=tracer, hierarchy=hierarchy)
         use_compiler = self.default_compile if compiled is None \
             else compiled
         interpreter.governance = context if context is not None \
@@ -586,7 +589,8 @@ class Database:
             if use_compiler:
                 out = self.plan_compiler.try_run(program, view,
                                                  interpreter,
-                                                 tracer=self.tracer)
+                                                 tracer=tracer,
+                                                 hierarchy=hierarchy)
                 if out is not None:
                     return self._materialize_result(program, names, out)
             out = interpreter.run(program)
@@ -600,12 +604,12 @@ class Database:
         widths = {len(v) for v in values if isinstance(v, BAT)}
         if not widths:
             # Pure scalar result (e.g. aggregates without GROUP BY).
-            return ResultSet(names, [[v] for v in values])
+            return ResultSet(names, [[_scalar(v)] for v in values])
         # Scalar returns alongside columns are constant expressions
         # (SELECT -5, k FROM t): broadcast them to the column length.
         n = max(widths)
-        return ResultSet(names, [v.decoded() if isinstance(v, BAT)
-                                 else [v] * n for v in values])
+        return ResultSet(names, [_decoded(v) if isinstance(v, BAT)
+                                 else [_scalar(v)] * n for v in values])
 
     def _eval_where(self, statement, view, context=None):
         """Visible oids of a DELETE/UPDATE's table matching its WHERE."""

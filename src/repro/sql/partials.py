@@ -2,23 +2,23 @@
 
 Two engines answer a SELECT in parts and merge the parts' outputs on
 one node: the morsel engine (:mod:`repro.parallel`), whose workers each
-aggregate their share of the morsels, and the shard coordinator
-(:mod:`repro.sharding`), whose legs each run on one shard.  Both plan
-the split and finish through this module, so a query splits and merges
-the same way whichever engine runs it:
+run the part SELECT over one row range of the first FROM table, and the
+shard coordinator (:mod:`repro.sharding`), whose legs each run it on
+one shard.  Both split through :func:`split_select` and finish through
+this module, so a query splits and merges the same way whichever engine
+runs it:
 
-* :func:`split_rows` plans a plain projection — every part ships the
-  select items plus hidden ORDER BY key columns — and
-  :func:`merge_rows` concatenates the parts, applies DISTINCT / ORDER BY
-  / LIMIT and strips the hidden keys.
-* :func:`split_aggregates` decomposes aggregates into partials —
-  COUNT/SUM/MIN/MAX ship as themselves, AVG as SUM + COUNT — plus merge
-  trees over them; every part ships group keys ++ partials and
-  :func:`merge_aggregates` recombines them group by group, then applies
-  HAVING / ORDER BY / DISTINCT / LIMIT.
+* a plain projection's part ships the select items plus hidden ORDER
+  BY key columns (:func:`split_rows`), and :func:`merge_rows`
+  concatenates the parts, applies DISTINCT / ORDER BY / LIMIT and
+  strips the hidden keys;
+* an aggregate's part ships group keys ++ partials
+  (:func:`split_aggregates`: COUNT/SUM/MIN/MAX ship as themselves, AVG
+  as SUM + COUNT), and :func:`merge_aggregates` recombines them group
+  by group, then applies HAVING / ORDER BY / DISTINCT / LIMIT.
 
-Merge trees reuse the SQL AST's operator nodes (BinOp/UnaryOp/IsNull/
-Literal) with three extra leaves (:class:`GroupCol`, :class:`Partial`,
+Merge trees reuse the SQL AST's operator nodes (BinOp/UnaryOp/Literal)
+with three extra leaves (:class:`GroupCol`, :class:`Partial`,
 :class:`AvgOf`).  Values are decoded Python values with None for nil;
 aggregates of nothing are None (COUNT: 0), arithmetic runs through the
 shared scalar operator table (:mod:`repro.core.scalar`), sorts put nil
@@ -27,11 +27,14 @@ Floating-point recombination is exact for dyadic-rational data;
 arbitrary doubles may see the usual re-association jitter.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.algebra import order_rows
 from repro.core.scalar import SCALAR_OPS
-from repro.sql.ast import BinOp, Column, FuncCall, IsNull, Literal, UnaryOp
+from repro.sql.ast import (
+    BinOp, Column, FuncCall, Literal, SelectItem, UnaryOp,
+    contains_aggregate, expand_items,
+)
 
 
 class MergeError(Exception):
@@ -72,9 +75,12 @@ class SplitPlan:
 
     A projection's part rows are the ``n_items`` select items followed
     by hidden order-key columns; an aggregate's are ``n_group`` group
-    keys followed by one value per entry of ``partials``.
+    keys followed by one value per entry of ``partials``.  ``names``
+    are the merged result's column names.
     """
 
+    aggregate: bool = False
+    names: list = field(default_factory=list)
     n_items: int = 0
     order_columns: list = field(default_factory=list)  # [(position, asc)]
     n_group: int = 0
@@ -132,8 +138,9 @@ def split_rows(select, items):
             position = len(items) + len(hidden)
             hidden.append(order.expr)
         order_columns.append((position, order.ascending))
-    plan = SplitPlan(n_items=len(items), order_columns=order_columns,
-                     distinct=select.distinct, limit=select.limit)
+    plan = SplitPlan(names=[name for name, _ in items], n_items=len(items),
+                     order_columns=order_columns, distinct=select.distinct,
+                     limit=select.limit)
     return plan, hidden
 
 
@@ -176,8 +183,8 @@ class _Decomposer:
                          self.decompose(expr.right))
         if isinstance(expr, UnaryOp):
             return UnaryOp(expr.op, self.decompose(expr.operand))
-        if isinstance(expr, IsNull):
-            return IsNull(self.decompose(expr.operand))
+        # IS NULL included: the single-node compiler accepts none over
+        # aggregates, so the split must not answer one either.
         raise Undecomposable(expr)
 
 
@@ -196,10 +203,47 @@ def split_aggregates(select, items):
             else decomposer.decompose(order.expr)
         order_exprs.append((tree, order.ascending))
     return SplitPlan(
+        aggregate=True, names=[name for name, _ in items],
         n_items=len(items), n_group=len(select.group_by),
         partials=decomposer.partials, item_exprs=item_exprs,
         having_expr=having, order_exprs=order_exprs,
         distinct=select.distinct, limit=select.limit)
+
+
+def split_select(select, bindings):
+    """The part SELECT every part runs, and the :class:`SplitPlan` its
+    part rows merge by.
+
+    ``bindings`` is the FROM clause as ``[(alias, column names)]``.  A
+    plain projection's part keeps the original's DISTINCT, and its
+    ORDER BY only together with a LIMIT (a top-k per part; a bare LIMIT
+    pushes down alone, a bare ORDER BY would be wasted part work).  An
+    aggregate's part groups like the original and selects group keys
+    ``__g<i>`` and partials ``__p<i>``.  Raises :class:`Undecomposable`.
+    """
+    try:
+        items = expand_items(select.items, bindings)
+    except LookupError as exc:
+        raise Undecomposable(exc.args[0]) from None
+    if select.group_by or \
+            any(contains_aggregate(expr) for _, expr in items):
+        if not select.group_by:
+            # One output row, which the single-node engine returns
+            # whatever HAVING, ORDER BY, DISTINCT or LIMIT say.
+            select = replace(select, having=None, order_by=[],
+                             distinct=False, limit=None)
+        plan = split_aggregates(select, items)
+        part_items = [SelectItem(g, "__g{0}".format(i))
+                      for i, g in enumerate(select.group_by)]
+        part_items += [SelectItem(call, "__p{0}".format(i))
+                       for i, (_, call) in enumerate(plan.partials)]
+        return replace(select, items=part_items, having=None, order_by=[],
+                       distinct=False, limit=None), plan
+    plan, hidden = split_rows(select, items)
+    part_items = list(select.items) + [SelectItem(expr, "__o{0}".format(i))
+                                       for i, expr in enumerate(hidden)]
+    return replace(select, items=part_items, order_by=select.order_by
+                   if select.limit is not None else []), plan
 
 
 # -- the finish -----------------------------------------------------------------
@@ -243,8 +287,6 @@ def eval_merge(expr, group, combined):
     if isinstance(expr, UnaryOp):
         return SCALAR_OPS["not" if expr.op == "not" else "neg"](
             eval_merge(expr.operand, group, combined))
-    if isinstance(expr, IsNull):
-        return eval_merge(expr.operand, group, combined) is None
     raise MergeError("unsupported merge expression {0!r}".format(expr))
 
 
@@ -296,7 +338,10 @@ def merge_aggregates(plan, part_rows):
         if plan.having_expr is not None and \
                 not eval_merge(plan.having_expr, key, combined):
             continue
-        row = tuple(eval_merge(e, key, combined) for e in plan.item_exprs)
+        # NaN is the DOUBLE nil, which a result holds as None.
+        row = tuple(None if value != value else value
+                    for value in (eval_merge(e, key, combined)
+                                  for e in plan.item_exprs))
         out.append((row, key, combined))
     rows = [row for row, _, _ in out]
     if plan.order_exprs:

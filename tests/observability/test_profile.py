@@ -132,14 +132,14 @@ def test_parallel_profile_cycles_sum_to_worker_set(db):
 
 
 def test_parallel_profile_falls_back_to_serial(db):
-    # LIMIT without ORDER BY has no parallel plan shape: the profile
+    # A DISTINCT aggregate has no parallel plan shape: the profile
     # silently runs the serial engine, like execute().
     before = db.parallel_fallbacks
-    profile = db.profile("SELECT k FROM t LIMIT 5", workers=2)
+    profile = db.profile("SELECT count(DISTINCT k) FROM t", workers=2)
     assert db.parallel_fallbacks == before + 1
     assert profile.root.attrs["engine"] == "serial"
     assert profile.hierarchy is not None
-    assert profile.result.rows() == [(i,) for i in range(5)]
+    assert profile.result.rows() == [(7,)]
 
 
 # -- EXPLAIN / PROFILE statements ---------------------------------------------

@@ -200,6 +200,19 @@ class TestSqlLevelDegradation:
         assert failure.site == "morsel.run"
         assert not db.last_parallel.fell_back
 
+    def test_worker_death_keeps_scan_order(self):
+        """The dead worker's morsel is redone after a survivor's own,
+        yet the parts still merge in morsel order: a projection comes
+        back in scan order and a bare LIMIT picks the serial rows."""
+        db = self._db()
+        for sql in ("SELECT a, b FROM t WHERE b < 40",
+                    "SELECT a, s FROM t WHERE b > 20 LIMIT 9"):
+            serial = db.query(sql)
+            db.faults = FaultInjector().crash_at("morsel.run")
+            assert db.query(sql, workers=4) == serial, sql
+            assert len(db.last_parallel.failures) == 1
+            db.faults = FaultInjector()
+
     def test_all_dead_falls_back_to_serial(self):
         from repro.faults import FaultPlan
         db = self._db()

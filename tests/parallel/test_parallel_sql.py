@@ -9,7 +9,10 @@ from tests.helpers import assert_same_rows
 
 
 def make_db(**kwargs):
-    db = Database(**kwargs)
+    return load(Database(**kwargs))
+
+
+def load(db):
     db.execute("CREATE TABLE t (a INTEGER, b INTEGER, s VARCHAR(8))")
     rows = ", ".join(
         "({0}, {1}, '{2}')".format(i, (i * 37) % 100, "tag{0}".format(i % 5))
@@ -61,16 +64,46 @@ def test_workers_pragma_validation():
         db.execute("SET bogus = 3")
     with pytest.raises(ValueError):
         db.execute("SELECT a FROM t", workers=0)
+    # One check for execute, profile and the pragma: a positive int
+    # that is not a bool, else ValueError.
+    for bad in (2.5, "4", True, -1):
+        with pytest.raises(ValueError):
+            db.execute("SELECT a FROM t", workers=bad)
+        with pytest.raises(ValueError):
+            db.profile("SELECT a FROM t", workers=bad)
+    with pytest.raises(ValueError):
+        db.execute("SET workers = true")
+    assert db.default_workers == 1
 
 
 def test_unsupported_shape_falls_back_to_serial():
     db = make_db()
-    # LIMIT without ORDER BY has no deterministic parallel answer, so
+    # A DISTINCT aggregate does not split into mergeable partials, so
     # the engine silently runs it serially.
-    rows = db.query("SELECT a FROM t LIMIT 5", workers=4)
-    assert len(rows) == 5
+    sql = "SELECT count(DISTINCT b) FROM t"
+    assert db.query(sql, workers=4) == db.query(sql) == [(100,)]
     assert db.parallel_fallbacks == 1
     assert db.parallel_runs == 0
+
+
+def test_self_join_falls_back_to_serial():
+    """A range view restricts a table by name, so both sides of a
+    self-join would shrink to one morsel and pairs across ranges would
+    be lost; the engine runs the self-join serially instead."""
+    db = make_db()
+    sql = "SELECT x.a, y.a FROM t x JOIN t y ON x.a = y.b"
+    serial = db.query(sql)
+    assert len(serial) == 500
+    assert_same_rows(db.query(sql, workers=4), serial)
+    assert db.parallel_fallbacks == 1
+    assert db.parallel_runs == 0
+
+
+def test_limit_without_order_by_matches_serial_scan_order():
+    db = make_db()
+    sql = "SELECT a, s FROM t WHERE b > 50 LIMIT 7"
+    assert db.query(sql, workers=4) == db.query(sql)
+    assert db.parallel_runs == 1
 
 
 def test_order_by_is_preserved_in_parallel():
@@ -96,9 +129,8 @@ def test_determinism_rows_and_misses(workers):
 
     def run():
         db = make_db(smp_profile=TINY_SMP)
-        executor = ParallelSelectExecutor(db.catalog, workers,
-                                          smp_profile=TINY_SMP,
-                                          vector_size=128)
+        executor = ParallelSelectExecutor(db, workers,
+                                          smp_profile=TINY_SMP)
         from repro.sql.parser import parse_sql
         select = parse_sql("SELECT a, a + b FROM t WHERE b < 60")
         result = executor.execute(select)
@@ -120,3 +152,47 @@ def test_worker_counts_agree_on_the_answer():
     serial = db.query(sql)
     for workers in (2, 4):
         assert_same_rows(db.query(sql, workers=workers), serial)
+
+
+@pytest.mark.parametrize("pipeline", ["cracking", "recycling"])
+def test_range_views_keep_morsels_apart(pipeline, monkeypatch):
+    """Each worker reads the first table through a view restricted to
+    its morsel's oids: a cracked select answers only oids in the range,
+    and every range is its own table version, so the recycler never
+    serves one morsel's intermediate to another — across a DELETE too.
+    """
+    from repro.parallel.executor import _RangeView
+    calls = {"crack": [], "version": []}
+    cracked_select = _RangeView.cracked_select
+    table_version = _RangeView.table_version
+
+    def spy_crack(view, table, *args):
+        out = cracked_select(view, table, *args)
+        calls["crack"].append((set(view.oids.tolist()), out.tail.tolist()))
+        return out
+
+    def spy_version(view, table):
+        version = table_version(view, table)
+        calls["version"].append((tuple(view.oids.tolist()), version))
+        return version
+
+    monkeypatch.setattr(_RangeView, "cracked_select", spy_crack)
+    monkeypatch.setattr(_RangeView, "table_version", spy_version)
+    db = load(getattr(Database, "with_" + pipeline)())
+    sql = "SELECT a, b FROM t WHERE a > 37 AND a < 300"
+    for _ in range(2):
+        runs = db.parallel_runs
+        assert_same_rows(db.query(sql, workers=4), db.query(sql))
+        assert db.parallel_runs == runs + 1
+        db.execute("DELETE FROM t WHERE b < 10")
+    if pipeline == "cracking":
+        assert calls["crack"]
+        for oids, found in calls["crack"]:
+            assert set(found) <= oids
+    else:
+        versions = {}
+        for oids, version in calls["version"]:
+            versions.setdefault(version, set()).add(oids)
+        # One version per range: no two ranges share a recycler key.
+        assert len(versions) == 8
+        assert all(len(ranges) == 1 for ranges in versions.values())

@@ -6,8 +6,10 @@ must return the same rows — values *and* Python types — or raise the
 same error class, with warnings as errors (as CI's tier-1 runs).  The
 cases are the corners where the engines used to differ: aggregates over
 no rows, zero divisors (per row and after aggregation), ORDER BY on an
-alias or under ``*``, HAVING with ORDER BY over aggregates, and DISTINCT
-ordered by a column it does not select.
+alias or under ``*``, HAVING with ORDER BY over aggregates, DISTINCT
+ordered by a column it does not select, NULLs in projections and
+grouped aggregates, multi-column GROUP BY, IS NULL over an aggregate
+and a self-join (which the morsel engine hands to the serial one).
 """
 
 import pytest
@@ -19,6 +21,15 @@ from repro.sql.compiler import SQLCompileError
 pytestmark = pytest.mark.filterwarnings("error")
 
 ROWS = [(k, (k * 7) % 41, k % 3) for k in range(40)]   # a is unique
+
+#: Table ``n``: NULLs in every value column.  Group 2 has no ``a`` and
+#: group 1 no ``v`` at all; ``v`` is dyadic, so sums are exact in any
+#: order.
+NULL_ROWS = [(k, k % 3,
+              None if k % 3 == 2 or k % 4 == 0 else (k * 5) % 17,
+              None if k % 3 == 1 else k / 4,
+              None if k % 5 == 0 else "s{0}".format(k % 4))
+             for k in range(24)]
 
 #: (statement, ordered result, the morsel engine runs it itself)
 CASES = [
@@ -38,21 +49,41 @@ CASES = [
      "HAVING sum(a) > 0 ORDER BY sum(a)", True, True),
     ("SELECT DISTINCT g FROM t ORDER BY g DESC", True, True),
     ("SELECT DISTINCT g FROM t ORDER BY a", True, False),
+    ("SELECT g, count(DISTINCT a) FROM t GROUP BY g", False, False),
+    ("SELECT g, k % 2, count(*), sum(a) FROM t GROUP BY g, k % 2",
+     False, True),
+    ("SELECT k, a, v, s FROM n WHERE k > 5", False, True),
+    ("SELECT g, min(a), max(a), count(a), min(v), max(v), count(v), "
+     "min(s), max(s), count(s) FROM n GROUP BY g", False, True),
+    ("SELECT g, sum(a), avg(a), sum(v), avg(v) FROM n GROUP BY g",
+     False, True),
+    ("SELECT count(a), sum(a), min(v), max(s) FROM n", False, True),
+    ("SELECT g, sum(a) IS NULL FROM t GROUP BY g", False, False),
+    ("SELECT x.k, y.a FROM t x JOIN t y ON x.k = y.a", False, False),
 ]
 
 
-def _load(db, ddl):
-    db.execute(ddl)
-    db.execute("INSERT INTO t VALUES " + ", ".join(
-        "({0}, {1}, {2})".format(*row) for row in ROWS))
+def _literal(value):
+    if value is None:
+        return "NULL"
+    return "'{0}'".format(value) if isinstance(value, str) else str(value)
+
+
+def _load(db, suffix=""):
+    db.execute("CREATE TABLE t (k INT, a INT, g INT)" + suffix)
+    db.execute("CREATE TABLE n (k INT, g INT, a INT, v DOUBLE, "
+               "s VARCHAR(8))" + suffix)
+    for table, rows in (("t", ROWS), ("n", NULL_ROWS)):
+        db.execute("INSERT INTO {0} VALUES ".format(table) + ", ".join(
+            "({0})".format(", ".join(_literal(v) for v in row))
+            for row in rows))
     return db
 
 
 @pytest.fixture(scope="module")
 def engines():
-    single = _load(Database(), "CREATE TABLE t (k INT, a INT, g INT)")
-    sharded = _load(ShardedDatabase(n_shards=2),
-                    "CREATE TABLE t (k INT, a INT, g INT) PARTITION BY (k)")
+    single = _load(Database())
+    sharded = _load(ShardedDatabase(n_shards=2), " PARTITION BY (k)")
     return {
         "serial": lambda sql: single.execute(sql),
         "compiled": lambda sql: single.execute(sql, compile=True),
@@ -84,6 +115,19 @@ def test_every_engine_gives_the_same_answer(engines, sql, ordered, morsel):
     for name, got in answers.items():
         assert got == want, "{0} differs from serial on {1!r}".format(
             name, sql)
+
+
+def test_limit_without_order_by_keeps_scan_order(engines):
+    """A bare LIMIT takes the first rows in scan order on one node, the
+    morsel engine included (a cluster promises no order, so it is not
+    asked)."""
+    runners, single = engines
+    sql = "SELECT k, a FROM t WHERE a > 5 LIMIT 6"
+    runs_before = single.parallel_runs
+    want = _answer(runners["serial"], sql, ordered=True)
+    for name in ("compiled", "workers=4"):
+        assert _answer(runners[name], sql, ordered=True) == want, name
+    assert single.parallel_runs == runs_before + 1
 
 
 def test_distinct_ordered_outside_its_select_list_is_a_compile_error(

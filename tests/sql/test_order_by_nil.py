@@ -3,8 +3,8 @@
 NaN is the DBL nil; it once broke every comparator it met, so a
 nullable DOUBLE sort key came back unsorted.  The same statement runs
 single-node interpreted, compiled, with ``workers=4`` and over two
-shards; the Python-row sort behind the morsel finisher and the shard
-merge is also tested directly.
+shards; the Python-row sort behind the morsel and shard merges is also
+tested directly.
 """
 
 import math
@@ -52,17 +52,15 @@ def test_single_node(sql, mode):
     db = _loaded(Database())
     if mode == "workers=4":
         rows = db.query(sql, workers=4)
-        # The morsel engine refuses nil-bearing tables; the serial
-        # fallback answers.
-        assert db.parallel_fallbacks == 1
+        assert db.parallel_runs == 1
     else:
         rows = db.query(sql, compile=mode == "compiled")
     assert _nil_as_none(rows) == EXPECTED[sql][0]
 
 
 def test_row_finisher_key_treats_nan_as_nil():
-    # The morsel finisher and the shard merge both order Python rows
-    # with algebra.order_rows.
+    # The morsel and shard merges both order Python rows with
+    # algebra.order_rows.
     rows = [(3, 1.5), (None, float("nan")), (1, 2.5), (2, None),
             (None, 0.5)]
     by_f = algebra.order_rows(rows, lambda row, i: row[1], [True])
