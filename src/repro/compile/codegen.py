@@ -41,13 +41,6 @@ _NP_DTYPE = {
     "flt": "np.float32", "dbl": "np.float64", "str": "np.int64",
 }
 
-_NP_BINOP = {
-    "+": "np.add", "-": "np.subtract", "*": "np.multiply",
-    "/": "np.divide", "%": "np.mod",
-    "==": "np.equal", "!=": "np.not_equal", "<": "np.less",
-    "<=": "np.less_equal", ">": "np.greater", ">=": "np.greater_equal",
-}
-
 _ARITH = frozenset("+-*/%")
 _COMPARE = frozenset(("==", "!=", "<", "<=", ">", ">="))
 _LOGIC = frozenset(("and", "or"))
@@ -246,7 +239,7 @@ def _infer_batcalc(op, argvts):
     if op == "isnil":
         vt = argvts[0]
         return [VT("num", BIT)], _values_of(vt) and vt.kind != "batref"
-    if op not in _NP_BINOP and op not in _LOGIC:
+    if op not in _ARITH and op not in _COMPARE and op not in _LOGIC:
         return [None], False
     left, right = argvts[0], argvts[1]
     if left is None or right is None:
@@ -541,47 +534,22 @@ class _Emitter:
                     _NP_DTYPE[vt.atom.name])
 
     def _emit_batcalc(self, index, instr):
+        """``batcalc.*``: a call into the interpreter's array-level
+        operator (nil propagation, string comparisons)."""
         op = instr.op[len("batcalc."):]
         out = instr.results[0]
         a = instr.args
         if op == "not":
-            self.ln("{0} = ~np.asarray({1}, dtype=bool)", self.vname(out),
+            self.ln("{0} = rt.calc_not({1})", self.vname(out),
                     self.calc_expr(index, 0, a[0]))
-            return
-        if op == "isnil":
-            self._emit_isnil(index, instr)
-            return
-        left = self.calc_expr(index, 0, a[0])
-        right = self.calc_expr(index, 1, a[1])
-        if op in _LOGIC:
-            fn = "np.logical_and" if op == "and" else "np.logical_or"
-            self.ln("{0} = {1}(np.asarray({2}, dtype=bool), "
-                    "np.asarray({3}, dtype=bool))", self.vname(out), fn,
-                    left, right)
-            return
-        if op in _COMPARE:
-            self.ln("{0} = {1}({2}, {3}).astype(bool)", self.vname(out),
-                    _NP_BINOP[op], left, right)
-            return
-        cast = "np.float64" if self.types[out].atom is DBL else "np.int64"
-        self.ln("{0} = {1}({2}, {3}).astype({4})", self.vname(out),
-                _NP_BINOP[op], left, right, cast)
-
-    def _emit_isnil(self, index, instr):
-        out = instr.results[0]
-        arg = instr.args[0]
-        vt = self.types[arg.name] if isinstance(arg, Var) else None
-        src = self.value_expr(index, 0, arg)
-        atom = vt.atom if vt is not None else None
-        if atom is BIT:
-            self.ln("{0} = np.zeros(len({1}), dtype=bool)", self.vname(out),
-                    src)
-        elif atom in (DBL, FLT):
-            self.ln("{0} = np.isnan({1})", self.vname(out), src)
+        elif op == "isnil":
+            self.ln("{0} = rt.calc_isnil({1}, {2})", self.vname(out),
+                    self.value_expr(index, 0, a[0]),
+                    self._atom_ref(self.types[a[0].name]))
         else:
-            nil = -1 if atom in (STR, OID) or atom is None else atom.nil
-            self.ln("{0} = np.equal({1}, {2})", self.vname(out), src,
-                    repr(nil))
+            self.ln("{0} = rt.calc({1!r}, {2}, {3})", self.vname(out), op,
+                    self.calc_expr(index, 0, a[0]),
+                    self.calc_expr(index, 1, a[1]))
 
     def _emit_calc(self, index, instr):
         """Scalar ``calc.*``: a call into the shared scalar operator

@@ -180,9 +180,12 @@ def unique_positions(values):
 
 
 # ---------------------------------------------------------------------------
-# aggregates: the interpreter's operators on raw arrays
+# element-wise maps and aggregates: the interpreter's operators on raw arrays
 # ---------------------------------------------------------------------------
 
+calc = algebra.calc_arrays
+calc_not = algebra.calc_not_arrays
+calc_isnil = algebra.calc_isnil_arrays
 agg_count = algebra.aggr_count_arrays
 agg_sum = algebra.aggr_sum_arrays
 agg_min = algebra.aggr_min_arrays

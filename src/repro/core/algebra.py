@@ -72,6 +72,28 @@ def _dense_span(values, limit):
     return (lo, span) if span <= limit else None
 
 
+#: The nil of each integer dtype: its minimum.
+_INT_NIL = {np.dtype(t): np.iinfo(t).min
+            for t in (np.int8, np.int16, np.int32, np.int64)}
+
+
+def _nils(values, nan=False):
+    """Mask of ``values``' nil entries, or None when there is none.  The
+    integer nil is the domain minimum, so one ``min()`` proves it
+    absent; decoded strings hold None; NaN counts only with ``nan`` —
+    IEEE rules already propagate it through arithmetic and fail it in
+    every comparison but ``!=``."""
+    if not isinstance(values, np.ndarray) or not len(values):
+        return None
+    nil = _INT_NIL.get(values.dtype)
+    if nil is not None:
+        return values == nil if values.min() == nil else None
+    if values.dtype.kind == "O" or nan and values.dtype.kind == "f":
+        present = _present(values)
+        return None if present.all() else ~present
+    return None
+
+
 # ---------------------------------------------------------------------------
 # selections
 # ---------------------------------------------------------------------------
@@ -105,6 +127,10 @@ def select_range(bat, lo=None, hi=None, lo_incl=True, hi_incl=False,
         if lo is not None:
             start = int(np.searchsorted(tail, lo,
                                         side="left" if lo_incl else "right"))
+        if tail.dtype in _INT_NIL:
+            # The integer nil, the domain minimum, sorts first.
+            start = max(start, int(np.searchsorted(
+                tail, _INT_NIL[tail.dtype], side="right")))
         if hi is not None:
             stop = int(np.searchsorted(tail, hi,
                                        side="right" if hi_incl else "left"))
@@ -117,7 +143,18 @@ def select_range(bat, lo=None, hi=None, lo_incl=True, hi_incl=False,
 
 
 def mask_range(values, lo, hi, lo_incl, hi_incl):
-    """Where ``lo (<|<=) values (<|<=) hi``; None bounds are open."""
+    """Where ``lo (<|<=) values (<|<=) hi``; None bounds are open, and
+    a nil is never in range."""
+    nil = _INT_NIL.get(values.dtype)
+    if values.dtype.kind == "O" or \
+            nil is not None and (lo is None or lo <= nil):
+        # A lower bound above the integer nil excludes it already.
+        nils = _nils(values)
+        if nils is not None:
+            mask = np.zeros(len(values), dtype=bool)
+            mask[~nils] = mask_range(values[~nils], lo, hi, lo_incl,
+                                     hi_incl)
+            return mask
     mask = np.ones(len(values), dtype=bool)
     if lo is not None:
         mask &= (values >= lo) if lo_incl else (values > lo)
@@ -512,10 +549,13 @@ def unique(bat):
 
 def _present(values, atom=None, heap=None):
     """Mask of ``values``' non-nil entries, or None when none can be
-    nil.  String offsets need their heap; without an atom a fixed-width
-    nil is the dtype's sentinel (NaN, or the integer minimum)."""
+    nil.  String offsets need their heap, decoded strings are nil when
+    None; without an atom a fixed-width nil is the dtype's sentinel
+    (NaN, or the integer minimum)."""
     if heap is not None:
         return values != heap.NIL_OFFSET
+    if values.dtype.kind == "O":
+        return np.not_equal(values, None)
     if values.dtype.kind == "f":
         # NaN, the float nil, is the one value unequal to itself.
         return values == values
@@ -747,52 +787,81 @@ def _operand_array(operand):
     return operand
 
 
-def calc(op, left, right):
-    """Element-wise arithmetic/comparison/logic over BATs and scalars.
+def _either(left, right):
+    """The union of two optional nil masks."""
+    if left is None:
+        return right
+    return left if right is None else left | right
 
-    Arithmetic yields a numeric BAT; comparisons and logic yield a bit
-    BAT.  At least one operand must be a BAT; BAT operands must be
-    aligned (equal length, void heads).
-    """
-    lval = _operand_array(left)
-    rval = _operand_array(right)
+
+def calc_arrays(op, lval, rval):
+    """Element-wise arithmetic/comparison/logic over raw arrays and
+    scalars (strings decoded).  Arithmetic yields int64 or float64, nil
+    wherever an operand is nil, and inf/nan (or 0 for integer %) for a
+    zero divisor, silently; a comparison with a nil operand is false."""
     if op in _ARITH:
-        # A zero divisor yields inf/nan (or 0 for integer %), silently.
         with np.errstate(divide="ignore", invalid="ignore"):
             result = _ARITH[op](lval, rval)
-        if result.dtype.kind == "f":
-            return BAT(DBL, result.astype(np.float64))
-        return BAT(LNG, result.astype(np.int64))
+        floating = result.dtype.kind == "f"
+        result = result.astype(np.float64 if floating else np.int64)
+        nils = _either(_nils(lval), _nils(rval))
+        if nils is not None:
+            result[nils] = DBL.nil if floating else LNG.nil
+        return result
     if op in _COMPARE:
-        return BAT(BIT, _COMPARE[op](lval, rval).astype(bool))
+        nan = op == "!="
+        nils = _either(_nils(lval, nan), _nils(rval, nan))
+        if nils is None:
+            return _COMPARE[op](lval, rval).astype(bool)
+        present = ~nils
+        result = np.zeros(len(nils), dtype=bool)
+        result[present] = _COMPARE[op](
+            *(v[present] if isinstance(v, np.ndarray) else v
+              for v in (lval, rval)))
+        return result
     if op in _LOGIC:
-        return BAT(BIT, _LOGIC[op](np.asarray(lval, dtype=bool),
-                                   np.asarray(rval, dtype=bool)))
+        return _LOGIC[op](np.asarray(lval, dtype=bool),
+                          np.asarray(rval, dtype=bool))
     raise KeyError("unknown calc operator {0!r}".format(op))
 
 
+def calc(op, left, right):
+    """:func:`calc_arrays` over BATs and scalars: a numeric BAT for
+    arithmetic, a bit BAT for comparisons and logic.  At least one
+    operand must be a BAT; BAT operands must be aligned (equal length,
+    void heads)."""
+    result = calc_arrays(op, _operand_array(left), _operand_array(right))
+    if result.dtype.kind == "b":
+        return BAT(BIT, result)
+    return BAT(DBL if result.dtype.kind == "f" else LNG, result)
+
+
+def calc_not_arrays(values):
+    return ~np.asarray(values, dtype=bool)
+
+
 def calc_not(operand):
-    return BAT(BIT, ~np.asarray(_operand_array(operand), dtype=bool))
+    return BAT(BIT, calc_not_arrays(_operand_array(operand)))
+
+
+def calc_isnil_arrays(values, atom):
+    """Element-wise nil test (``IS NULL``) of raw ``atom`` values.
+
+    Nil is the atom's in-domain sentinel (var-sized atoms test the
+    offset, so a None string is nil).  Boolean values are never nil:
+    the engine does not model three-valued logic, so a comparison
+    result ``IS NULL`` is all-false rather than treating False (the bit
+    atom's nominal sentinel) as missing.
+    """
+    if atom is BIT or atom.dtype.kind == "b":
+        return np.zeros(len(values), dtype=bool)
+    return np.asarray(atom.is_nil(values), dtype=bool)
 
 
 def calc_isnil(operand):
-    """Element-wise nil test (``IS NULL``).
-
-    Nil is the atom's in-domain sentinel (var-sized atoms test the
-    offset, so a None string is nil).  Boolean BATs are never nil: the
-    engine does not model three-valued logic, so a comparison result
-    ``IS NULL`` is all-false rather than treating False (the bit
-    atom's nominal sentinel) as missing.
-    """
     if not isinstance(operand, BAT):
         return operand is None
-    if operand.atom is BIT or operand.atom.dtype.kind == "b":
-        return BAT(BIT, np.zeros(len(operand), dtype=bool))
-    if operand.atom.varsized:
-        mask = np.asarray(operand.atom.is_nil(operand.tail), dtype=bool)
-        return BAT(BIT, mask)
-    return BAT(BIT, np.asarray(operand.atom.is_nil(operand.tail),
-                               dtype=bool))
+    return BAT(BIT, calc_isnil_arrays(operand.tail, operand.atom))
 
 
 def ifthenelse(cond, then_bat, else_bat):

@@ -43,8 +43,8 @@ from repro.sql.ast import (
 )
 from repro.sql.database import Database, ResultSet
 from repro.sql.parser import parse_sql
+from repro.sql.partials import merge_aggregates as finish_aggregates
 from repro.views.definition import classify
-from repro.views.maintainer import merge_partials
 from repro.views.rows import ViewError
 from repro.wal import WriteAheadLog
 
@@ -677,9 +677,8 @@ class ShardedDatabase:
         Per-shard view state composes by kind: complete-per-shard views
         ship from one shard, ``linear`` fragments over a partitioned
         base concatenate across shards, ``aggregate`` views ship their
-        per-group accumulator partials and merge (count/sum add,
-        min/max take the best shard extremum, avg divides merged sums
-        by merged counts).
+        per-group part rows and finish them as a scatter's partials
+        (:func:`~repro.sql.partials.merge_aggregates`).
         """
         missing = [ref.name for ref in refs if ref.name not in self.views]
         if missing:
@@ -715,12 +714,13 @@ class ShardedDatabase:
                     lambda s=shard_id: self.shards[s].database.views
                     .contents(name)))
             return rows
-        # Aggregate over a partitioned base: merge per-shard partials.
-        dumps = [self._rpc(shard_id, ("view_partials", name),
+        # Aggregate over a partitioned base: finish the shards' part
+        # rows as a scatter's.
+        parts = [self._rpc(shard_id, ("view_partials", name),
                            lambda s=shard_id: self.shards[s].database
                            .views.partials(name))
                  for shard_id in self.broadcast_shards()]
-        return merge_partials(definition, dumps)
+        return finish_aggregates(definition.plan, parts)
 
     def _gather_database(self, plan, runner, context=None, hedged=False,
                          workers=None):

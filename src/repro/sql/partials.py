@@ -17,6 +17,11 @@ runs it:
   as SUM + COUNT), and :func:`merge_aggregates` recombines them group
   by group, then applies HAVING / ORDER BY / DISTINCT / LIMIT.
 
+Materialized views (:mod:`repro.views`) are the third user: an
+aggregate view keeps a :class:`PartialState` per partial per group and
+folds each committed delta — one more part, weighted ±1 — into it with
+the finish's own per-kind table; sharded reads merge its part rows.
+
 Merge trees reuse the SQL AST's operator nodes (BinOp/UnaryOp/Literal)
 with three extra leaves (:class:`GroupCol`, :class:`Partial`,
 :class:`AvgOf`).  Values are decoded Python values with None for nil;
@@ -171,10 +176,9 @@ class _Decomposer:
             if expr.distinct:
                 raise Undecomposable("DISTINCT aggregate")
             if expr.name == "avg":
-                arg = expr.args[0]
                 return AvgOf(
-                    self._partial("sum", FuncCall("sum", (arg,))),
-                    self._partial("count", FuncCall("count", (arg,))))
+                    self._partial("sum", FuncCall("sum", expr.args)),
+                    self._partial("count", FuncCall("count", expr.args)))
             if expr.name not in self.KINDS:
                 raise Undecomposable(expr.name)
             return Partial(self._partial(expr.name, expr))
@@ -248,20 +252,86 @@ def split_select(select, bindings):
 
 # -- the finish -----------------------------------------------------------------
 
+#: kind -> the total of one partial's present values: how the finish
+#: merges parts, and how a :class:`PartialState` folds and merges.
+_TOTAL = {"count": sum, "sum": sum, "min": min, "max": max}
+
+
 def combine_partials(kind, values):
     """Fold one partial aggregate's per-part values into the total."""
+    total = _TOTAL.get(kind)
+    if total is None:
+        raise MergeError("unknown partial kind {0!r}".format(kind))
     present = [v for v in values if v is not None]
-    if kind == "count":
-        return sum(present)
-    if not present:
-        return None
-    if kind == "sum":
-        return sum(present)
-    if kind == "min":
-        return min(present)
-    if kind == "max":
-        return max(present)
-    raise MergeError("unknown partial kind {0!r}".format(kind))
+    return total(present) if present or kind == "count" else None
+
+
+class PartialState:
+    """One partial aggregate of a weighted multiset of values: ``n``,
+    the net weight of the non-nil values folded in, and ``value``, their
+    sum or extremum (None before any; a count is ``n``).  A history
+    folded in pieces whose states :meth:`merge` agrees with it folded
+    whole (L(A+B) = L(A) + L(B)), but an extremum cannot subtract:
+    retracting one that ties or beats it sets ``stale`` until
+    :meth:`refold`."""
+
+    __slots__ = ("kind", "n", "value", "stale")
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.refold(())
+
+    def refold(self, values):
+        """Rebuild from the multiset's present ``values`` themselves."""
+        self.n = len(values)
+        self.value = _TOTAL[self.kind](values) if values else None
+        self.stale = False
+
+    def merge(self, other):
+        """Fold another piece of the history in."""
+        self.n += other.n
+        self.stale = self.stale or other.stale
+        if self.value is None:
+            self.value = other.value
+        elif other.value is not None:
+            self.value = _TOTAL[self.kind]((self.value, other.value))
+
+    def final(self):
+        """The partial's value, as a part row carries it."""
+        if self.kind == "count":
+            return self.n
+        return self.value if self.n else None
+
+
+def _fold_count(state, value, weight):
+    state.n += weight
+
+
+def _fold_sum(state, value, weight):
+    state.n += weight
+    value *= weight
+    state.value = value if state.value is None else state.value + value
+
+
+def _fold_extremum(state, value, weight):
+    state.n += weight
+    if state.value is None:
+        if weight > 0:
+            state.value = value
+        else:
+            state.stale = True
+        return
+    best = _TOTAL[state.kind]((state.value, value))
+    if weight > 0:
+        state.value = best
+    elif best == value:
+        state.stale = True   # the retracted value may be the extremum
+
+
+#: kind -> ``fold(state, value, weight)``: ``weight`` copies of one
+#: non-nil value (negative: retracted) into a :class:`PartialState`.
+FOLD = {"count": _fold_count, "sum": _fold_sum, "min": _fold_extremum,
+        "max": _fold_extremum}
 
 
 def eval_merge(expr, group, combined):

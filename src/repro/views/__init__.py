@@ -20,9 +20,7 @@ Modules:
 """
 
 from repro.views.definition import OutputItem, ViewDefinition, classify
-from repro.views.maintainer import (
-    ViewMaintainer, ViewMaintenanceError, merge_partials, view_from_wal,
-)
+from repro.views.maintainer import ViewMaintainer, ViewMaintenanceError
 from repro.views.rows import (
     ViewError, decode_row, decode_value, logical_rows,
 )
@@ -39,7 +37,5 @@ __all__ = [
     "decode_row",
     "decode_value",
     "logical_rows",
-    "merge_partials",
     "row_key",
-    "view_from_wal",
 ]

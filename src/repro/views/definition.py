@@ -10,8 +10,12 @@ Four strategies, from cheapest to most general:
     backing row.
 
 ``aggregate``
-    Single-table GROUP BY (or scalar) count/sum/min/max/avg.  The view
-    keeps one accumulator per group per aggregate; weights add and
+    Single-table GROUP BY (or scalar) whose items and group keys
+    decompose into count/sum/min/max partials plus a merge tree
+    (:func:`repro.sql.partials.split_select`, as the morsel engine and
+    the shard coordinator split a query): ``sum(v) * 2 + count(*)`` or
+    ``avg(v)`` (sum over count) included.  The view keeps one
+    weight-aware partial state per group per partial; weights add and
     retract, min/max fall back to a per-group recompute when the
     current extremum retracts.
 
@@ -24,7 +28,8 @@ Four strategies, from cheapest to most general:
 
 ``eager``
     Everything else the engine can run (DISTINCT, HAVING, 3+ tables,
-    self-joins, DISTINCT aggregates, aggregated joins): not
+    self-joins, aggregated joins, and item lists with no split:
+    DISTINCT aggregates, IS NULL over an aggregate): not
     incrementally decomposable here, so every delta to a base table
     triggers a full recompute of the defining query through the
     engine.  Correct, never cheap — the documented fallback.
@@ -37,23 +42,18 @@ committed DML delta).
 
 from dataclasses import dataclass, field
 
-from repro.sql.ast import (
-    Column, FuncCall, Select, Star, contains_aggregate,
-)
+from repro.sql.ast import Column, FuncCall, Select, Star, contains_aggregate
+from repro.sql.partials import Undecomposable, split_select
 from repro.sql.render import render_select
 from repro.views.rows import ViewError, infer_atom
 
 
 @dataclass
 class OutputItem:
-    """One output column of a view: where its value comes from."""
+    """One output column of a view: its name and item expression."""
 
     name: str
     expr: object           # the (expanded) item expression
-    kind: str = "expr"     # 'expr' | 'key' | 'agg'
-    key_index: int = None  # for 'key': index into the group-by list
-    agg: str = None        # for 'agg': count/sum/min/max/avg
-    arg: object = None     # for 'agg': argument expr (None = count(*))
 
 
 @dataclass
@@ -64,7 +64,7 @@ class ViewDefinition:
     base_tables: list      # referenced base-table names (deduped, ordered)
     columns: list          # [(output name, atom type name)] backing schema
     items: list = field(default_factory=list)   # [OutputItem]
-    group_exprs: list = field(default_factory=list)
+    plan: object = None    # 'aggregate': the SplitPlan its state follows
     sql: str = ""
 
     def __post_init__(self):
@@ -99,15 +99,19 @@ def classify(tables, name, select, view_names=()):
     base_tables = list(dict.fromkeys(ref.name for ref in refs))
     bindings = {ref.binding: tables[ref.name] for ref in refs}
     kind = _classify_kind(select, refs)
+    plan = None
     if kind == "aggregate":
-        items, group_exprs = _aggregate_items(select, refs, bindings)
-    else:
-        items = _expand_items(select, refs, bindings)
-        group_exprs = []
+        try:
+            _, plan = split_select(select, [
+                (ref.binding, tables[ref.name].column_names)
+                for ref in refs])
+        except Undecomposable:
+            kind = "eager"
+    items = _expand_items(select, refs, bindings)
     columns = _output_columns(items, bindings)
     return ViewDefinition(name=name, select=select, kind=kind,
                           base_tables=base_tables, columns=columns,
-                          items=items, group_exprs=group_exprs)
+                          items=items, plan=plan)
 
 
 def _classify_kind(select, refs):
@@ -121,52 +125,9 @@ def _classify_kind(select, refs):
         if refs[0].name == refs[1].name:
             return "eager"  # self-join: dR|><|dR needs the pre-state
         return "join"
-    if select.distinct:
+    if select.distinct or select.having is not None:
         return "eager"
-    if aggregated:
-        if select.having is not None:
-            return "eager"
-        for item in select.items:
-            if item.expr in select.group_by:
-                continue
-            expr = item.expr
-            if not (isinstance(expr, FuncCall) and expr.is_aggregate):
-                return "eager"  # aggregate arithmetic etc.
-            if expr.distinct:
-                return "eager"  # DISTINCT aggregates don't decompose
-            if expr.name == "count":
-                if len(expr.args) > 1:
-                    raise ViewError("count() arity")
-            elif len(expr.args) != 1 or isinstance(expr.args[0], Star):
-                raise ViewError(
-                    "{0} needs one column argument".format(expr.name))
-        return "aggregate"
-    return "linear"
-
-
-def _aggregate_items(select, refs, bindings):
-    group_exprs = list(select.group_by)
-    items = []
-    for item in select.items:
-        expr = item.expr
-        if expr in group_exprs:
-            items.append(OutputItem(name=_item_name(item), expr=expr,
-                                    kind="key",
-                                    key_index=group_exprs.index(expr)))
-            continue
-        if not (isinstance(expr, FuncCall) and expr.is_aggregate):
-            raise ViewError(
-                "non-aggregate item {0!r} must appear in "
-                "GROUP BY".format(expr))
-        arg = None
-        if expr.args and not isinstance(expr.args[0], Star):
-            arg = expr.args[0]
-        if expr.name != "count" and arg is None:
-            raise ViewError(
-                "{0} needs one column argument".format(expr.name))
-        items.append(OutputItem(name=_item_name(item), expr=expr,
-                                kind="agg", agg=expr.name, arg=arg))
-    return items, group_exprs
+    return "aggregate" if aggregated else "linear"
 
 
 def _expand_items(select, refs, bindings):

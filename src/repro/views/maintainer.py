@@ -31,11 +31,12 @@ history — on recovery, on replicas, and per shard.
 
 import numpy as np
 
+from repro.core.algebra import _present
 from repro.core.atoms import BIT
-from repro.sql.ast import BinOp, Column, split_conjuncts
+from repro.sql.ast import BinOp, Column, Literal, Star, split_conjuncts
 from repro.sql.compiler import SQLCompileError, compile_select
-from repro.sql.parser import parse_sql
-from repro.views.definition import ViewDefinition, classify
+from repro.sql.partials import FOLD, PartialState, eval_merge
+from repro.views.definition import classify
 from repro.views.rows import (
     ViewError, compile_expr, compile_predicate, compile_row, decode_row,
     logical_rows, row_slots, slots_read,
@@ -72,9 +73,6 @@ class ViewMaintainer:
 
     def definition(self, name):
         return self._view(name).d
-
-    def select_of(self, name):
-        return self._view(name).d.select
 
     def _view(self, name):
         try:
@@ -182,15 +180,16 @@ class ViewMaintainer:
         return logical_rows(self._db.catalog.get(name))
 
     def partials(self, name):
-        """Per-group partial accumulator state, for scatter-gather
-        reads over sharded aggregate views (merged by
-        :func:`merge_partials`)."""
+        """An aggregate view's part rows — group keys followed by one
+        value per partial of its plan, the rows a scatter leg returns —
+        for sharded reads, which finish them with
+        :func:`~repro.sql.partials.merge_aggregates`."""
         view = self._view(name)
         if not isinstance(view, _AggregateView):
             raise ViewError(
                 "view {0!r} has no partial-aggregate state "
                 "({1})".format(name, view.d.kind))
-        return view.dump_partials()
+        return view.part_rows()
 
 
 # -- operator implementations -------------------------------------------------
@@ -381,14 +380,26 @@ class _JoinView(_MultisetView):
         return self._publish(out)
 
 
-class _AggregateView(_ViewOperator):
-    """GROUP BY (or scalar) count/sum/min/max/avg with weight-aware
-    per-group accumulators.
+class _Group:
+    """One group's key values, weight, and one
+    :class:`~repro.sql.partials.PartialState` per partial."""
 
-    Retraction decrements counts and subtracts sums; a retraction that
-    removes the *current extremum* of a min/max accumulator cannot be
-    answered from the accumulator alone, so the group recomputes from
-    the base table (post-delta state, counted in
+    __slots__ = ("key_values", "weight", "states")
+
+    def __init__(self, key_values, kinds):
+        self.key_values = tuple(key_values)
+        self.weight = 0
+        self.states = [PartialState(kind) for kind in kinds]
+
+
+class _AggregateView(_ViewOperator):
+    """GROUP BY (or scalar) aggregates: per group, one weight-aware
+    state per partial of the view's :class:`~repro.sql.partials.SplitPlan`,
+    and a backing row of the plan's merge trees over their values.
+
+    A retraction that removes the *current extremum* of a min/max state
+    cannot be answered from the state alone, so the group recomputes
+    from the base table (post-delta state, counted in
     ``group_recomputes``).  A group whose weight reaches zero vanishes
     — its backing row is deleted, not zeroed — except for the scalar
     (no GROUP BY) shape, which always keeps exactly one row, matching
@@ -399,23 +410,20 @@ class _AggregateView(_ViewOperator):
         super().__init__(maintainer, definition)
         self._groups = {}      # group key -> _Group
         self._group_oids = {}  # group key -> backing oid
-        self._scalar = not definition.group_exprs
         select = definition.select
+        self._scalar = not select.group_by
+        self._kinds = definition.plan.partial_kinds
+        self._folds = [FOLD[kind] for kind in self._kinds]
         slots = self._slots([select.table])
         self._keep = compile_predicate(
             [] if select.where is None else [select.where], slots)
-        self._key_of = compile_row(definition.group_exprs, slots)
-        self._args = [compile_expr(item.arg, slots)
-                      if item.kind == "agg" and item.arg is not None
-                      else None for item in definition.items]
-
-    def _binding(self):
-        return self.d.select.table.binding
-
-    def _group(self, key, key_values):
-        group = self._groups[key] = _Group(key_values, self.d.items,
-                                           self._args)
-        return group
+        self._key_of = compile_row(select.group_by, slots)
+        # count(*) counts rows: an argument that is never nil.
+        self._arg_exprs = [
+            call.args[0] if call.args and
+            not isinstance(call.args[0], Star) else Literal(1)
+            for _, call in definition.plan.partials]
+        self._args = [compile_expr(expr, slots) for expr in self._arg_exprs]
 
     def materialize(self):
         base = self._catalog.get(self.d.base_tables[0])
@@ -430,6 +438,7 @@ class _AggregateView(_ViewOperator):
 
     def apply(self, table_name, delta):
         keep, key_of = self._keep, self._key_of
+        folds, args = self._folds, self._args
         dirty = set()
         for row, weight in delta.items():
             if not keep(row):
@@ -438,8 +447,12 @@ class _AggregateView(_ViewOperator):
             key = row_key(key_values)
             group = self._groups.get(key)
             if group is None:
-                group = self._group(key, key_values)
-            group.fold(row, weight)
+                group = self._groups[key] = _Group(key_values, self._kinds)
+            group.weight += weight
+            for fold, arg, state in zip(folds, args, group.states):
+                value = arg(row)
+                if value is not None:
+                    fold(state, value, weight)
             dirty.add(key)
         if self._scalar and not self._group_oids:
             dirty.add(())
@@ -454,7 +467,7 @@ class _AggregateView(_ViewOperator):
         for key in sorted(dirty):
             group = self._groups.get(key)
             if group is None and self._scalar:
-                group = self._group(key, ())
+                group = self._groups[key] = _Group((), self._kinds)
             if group is None:
                 raise ViewMaintenanceError(
                     "view {0!r}: delta touched unknown group "
@@ -464,11 +477,15 @@ class _AggregateView(_ViewOperator):
                     "view {0!r}: group {1!r} retracted below "
                     "empty".format(self.d.name, key))
             touched.append((key, group))
-            if group.needs_recompute():
+            for state in group.states:
+                if state.stale and not state.n:
+                    state.refold(())  # a group's history is whole
+            if any(state.stale for state in group.states):
                 stale.append(group)
         if stale:
             self._recompute_stale(stale)
         doomed, fresh_keys, fresh_rows = [], [], []
+        exprs = self.d.plan.item_exprs
         for key, group in touched:
             old_oid = self._group_oids.pop(key, None)
             if old_oid is not None:
@@ -477,8 +494,10 @@ class _AggregateView(_ViewOperator):
                 # Zero-weight groups vanish rather than linger.
                 del self._groups[key]
                 continue
+            finals = [state.final() for state in group.states]
             fresh_keys.append(key)
-            fresh_rows.append(list(group.output_row()))
+            fresh_rows.append([eval_merge(expr, group.key_values, finals)
+                               for expr in exprs])
         backing = self._backing()
         if doomed:
             backing.delete_oids(doomed)
@@ -488,18 +507,22 @@ class _AggregateView(_ViewOperator):
         return len(doomed) + len(fresh_rows)
 
     def _recompute_stale(self, groups):
-        """Rebuild stale min/max accumulators from the base table
-        (current, post-delta state) — one shared scan, however many
-        groups the delta invalidated."""
+        """Refold stale min/max states from the base table (current,
+        post-delta state) — one shared scan, however many groups the
+        delta invalidated."""
         if not self._recompute_columnwise(groups):
             self._recompute_rowwise(groups)
         self._bump("group_recomputes", len(groups))
+
+    def _stale_partials(self, group):
+        return [(index, state) for index, state in enumerate(group.states)
+                if state.stale]
 
     def _columnwise_name(self, expr, base):
         """The base column a plain-column expression binds, or None."""
         if not isinstance(expr, Column):
             return None
-        if expr.table not in (None, self._binding()):
+        if expr.table not in (None, self.d.select.table.binding):
             return None
         return expr.name if expr.name in base.atoms else None
 
@@ -507,21 +530,18 @@ class _AggregateView(_ViewOperator):
         """Column-at-a-time recompute for the common shape — no WHERE,
         plain-column group keys and aggregate arguments: one numpy mask
         per group over the raw BAT tails, no per-row environments."""
-        select = self.d.select
-        if select.where is not None:
+        if self.d.select.where is not None:
             return False
         base = self._catalog.get(self.d.base_tables[0])
         key_cols = []
-        for expr in self.d.group_exprs:
+        for expr in self.d.select.group_by:
             name = self._columnwise_name(expr, base)
             if name is None or base.atoms[name].varsized:
                 return False
             key_cols.append(name)
         for group in groups:
-            for item, acc in zip(group.items, group.accs):
-                if not acc.get("stale"):
-                    continue
-                name = self._columnwise_name(item.arg, base)
+            for index, _ in self._stale_partials(group):
+                name = self._columnwise_name(self._arg_exprs[index], base)
                 if name is None or base.atoms[name].varsized or \
                         base.atoms[name] is BIT:
                     return False
@@ -538,25 +558,14 @@ class _AggregateView(_ViewOperator):
             for name, key_value in zip(key_cols, group.key_values):
                 column = tail(name)
                 if key_value is None:
-                    mask &= np.isnan(column) \
-                        if np.issubdtype(column.dtype, np.floating) \
-                        else (column == base.atoms[name].nil)
+                    mask &= ~_present(column, base.atoms[name])
                 else:
                     mask &= (column == key_value)
-            for item, acc in zip(group.items, group.accs):
-                if not acc.get("stale"):
-                    continue
-                name = self._columnwise_name(item.arg, base)
+            for index, state in self._stale_partials(group):
+                name = self._arg_exprs[index].name
                 values = tail(name)[mask]
-                if np.issubdtype(values.dtype, np.floating):
-                    values = values[~np.isnan(values)]
-                else:
-                    values = values[values != base.atoms[name].nil]
-                acc["n"] = int(len(values))
-                acc["cur"] = (values.min() if item.agg == "min"
-                              else values.max()).item() \
-                    if len(values) else None
-                acc["stale"] = False
+                values = values[_present(values, base.atoms[name])]
+                state.refold(values.tolist())
         return True
 
     def _recompute_rowwise(self, groups):
@@ -571,19 +580,18 @@ class _AggregateView(_ViewOperator):
                 if bucket is not None:
                     bucket.append(row)
         for group in groups:
-            group.recompute_extrema(buckets[row_key(group.key_values)])
+            rows = buckets[row_key(group.key_values)]
+            for index, state in self._stale_partials(group):
+                state.refold([v for v in map(self._args[index], rows)
+                              if v is not None])
 
-    def dump_partials(self):
-        """Shippable per-group state for cross-shard merging."""
-        out = []
-        for key in sorted(self._groups):
-            group = self._groups[key]
-            if group.weight == 0 and not self._scalar:
-                continue
-            out.append({"key": list(group.key_values),
-                        "weight": group.weight,
-                        "accs": [dict(acc) for acc in group.accs]})
-        return out
+    def part_rows(self):
+        """Group keys followed by each partial's value, per live
+        group (the scalar shape's one group always)."""
+        return [group.key_values +
+                tuple(state.final() for state in group.states)
+                for group in self._groups.values()
+                if group.weight or self._scalar]
 
 
 class _EagerView(_ViewOperator):
@@ -627,172 +635,3 @@ _OPERATORS = {
     "aggregate": _AggregateView,
     "eager": _EagerView,
 }
-
-
-# -- per-group accumulators ---------------------------------------------------
-
-
-class _Group:
-    """One group's weight and per-aggregate accumulators.
-
-    Accumulator shapes (all values in logical space):
-
-    * count(*): ``{}`` — the group weight is the value
-    * count(x): ``{"n": non-null count}``
-    * sum/avg(x): ``{"n": non-null count, "total": running sum}``
-    * min/max(x): ``{"n": non-null count, "cur": extremum or None,
-      "stale": recompute pending}``
-
-    ``args`` holds each item's compiled aggregate argument (None for
-    group keys and ``count(*)``).
-    """
-
-    def __init__(self, key_values, items, args):
-        self.key_values = tuple(key_values)
-        self.items = items
-        self.args = args
-        self.weight = 0
-        self.accs = []
-        for item in items:
-            if item.kind != "agg" or item.arg is None:
-                self.accs.append({})
-            elif item.agg == "count":
-                self.accs.append({"n": 0})
-            elif item.agg in ("sum", "avg"):
-                self.accs.append({"n": 0, "total": 0})
-            else:  # min / max
-                self.accs.append({"n": 0, "cur": None, "stale": False})
-
-    def fold(self, row, weight):
-        self.weight += weight
-        for item, acc, arg in zip(self.items, self.accs, self.args):
-            if arg is None:
-                continue
-            value = arg(row)
-            if value is None:
-                continue
-            if item.agg == "count":
-                acc["n"] += weight
-            elif item.agg in ("sum", "avg"):
-                acc["n"] += weight
-                acc["total"] += weight * value
-            else:
-                acc["n"] += weight
-                if acc["n"] == 0:
-                    acc["cur"] = None
-                    acc["stale"] = False
-                elif weight > 0:
-                    cur = acc["cur"]
-                    if cur is None or (value < cur if item.agg == "min"
-                                       else value > cur):
-                        acc["cur"] = value
-                else:
-                    # Retracting the current extremum: the accumulator
-                    # cannot answer; flag the group for recompute.
-                    if acc["cur"] is not None and value == acc["cur"]:
-                        acc["stale"] = True
-
-    def needs_recompute(self):
-        return any(acc.get("stale") for acc in self.accs)
-
-    def recompute_extrema(self, rows):
-        for item, acc, arg in zip(self.items, self.accs, self.args):
-            if not acc.get("stale"):
-                continue
-            values = [v for v in map(arg, rows) if v is not None]
-            acc["cur"] = (min(values) if item.agg == "min"
-                          else max(values)) if values else None
-            acc["n"] = len(values)
-            acc["stale"] = False
-
-    def output_row(self):
-        row = []
-        for item, acc in zip(self.items, self.accs):
-            if item.kind == "key":
-                row.append(self.key_values[item.key_index])
-            else:
-                row.append(_acc_value(item, acc, self.weight))
-        return tuple(row)
-
-
-def _acc_value(item, acc, weight):
-    """One aggregate output cell from its accumulator (logical space)."""
-    if item.agg == "count":
-        return weight if item.arg is None else acc["n"]
-    if item.agg == "sum":
-        return acc["total"] if acc["n"] else None
-    if item.agg == "avg":
-        return acc["total"] / acc["n"] if acc["n"] else None
-    return acc["cur"]  # min / max
-
-
-def merge_partials(definition, dumps):
-    """Merge per-shard :meth:`ViewMaintainer.partials` dumps into the
-    global view rows (scatter-gather reads on sharded aggregate
-    views).
-
-    Counts and weights add, sums add, min/max take the best of the
-    shard extrema (each shard's extremum is exact over its rows, so
-    the best-of is the global extremum), avg divides the merged sum by
-    the merged count.
-    """
-    merged = {}  # row_key(key) -> (key_values, weight, accs)
-    for dump in dumps:
-        for entry in dump:
-            key_values = tuple(entry["key"])
-            key = row_key(key_values)
-            found = merged.get(key)
-            if found is None:
-                merged[key] = [key_values, entry["weight"],
-                               [dict(acc) for acc in entry["accs"]]]
-                continue
-            found[1] += entry["weight"]
-            for item, acc, other in zip(definition.items, found[2],
-                                        entry["accs"]):
-                if item.kind != "agg" or item.arg is None:
-                    continue
-                if item.agg == "count":
-                    acc["n"] += other["n"]
-                elif item.agg in ("sum", "avg"):
-                    acc["n"] += other["n"]
-                    acc["total"] += other["total"]
-                else:
-                    values = [v for v in (acc["cur"], other["cur"])
-                              if v is not None]
-                    acc["cur"] = (min(values) if item.agg == "min"
-                                  else max(values)) if values else None
-                    acc["n"] += other["n"]
-    rows = []
-    scalar = not definition.group_exprs
-    if scalar and not merged:
-        merged[()] = [(), 0, [_empty_acc(item)
-                              for item in definition.items]]
-    for key in sorted(merged):
-        key_values, weight, accs = merged[key]
-        if weight == 0 and not scalar:
-            continue
-        row = []
-        for item, acc in zip(definition.items, accs):
-            if item.kind == "key":
-                row.append(key_values[item.key_index])
-            else:
-                row.append(_acc_value(item, acc, weight))
-        rows.append(tuple(row))
-    return rows
-
-
-def _empty_acc(item):
-    if item.kind != "agg" or item.arg is None:
-        return {}
-    if item.agg == "count":
-        return {"n": 0}
-    if item.agg in ("sum", "avg"):
-        return {"n": 0, "total": 0}
-    return {"n": 0, "cur": None, "stale": False}
-
-
-def view_from_wal(database, record):
-    """Re-install a view from its ``create_view`` WAL record (shared by
-    recovery and replication apply)."""
-    select = parse_sql(record["sql"])
-    return database.views.create(record["name"], select)

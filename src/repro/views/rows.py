@@ -2,7 +2,7 @@
 
 The engine stores missing values as in-domain nil sentinels
 (:mod:`repro.core.atoms`); view maintenance computes in *logical*
-value space instead — None for missing — so accumulators and Z-set
+value space instead — None for missing — so partial states and Z-set
 weights merge by SQL value rather than by sentinel bit pattern.  This
 module holds the sentinel<->None decoding, the expression compiler
 that turns a view's expressions into closures over logical row tuples
@@ -20,6 +20,7 @@ import math
 from functools import reduce
 from operator import itemgetter
 
+from repro.core.algebra import _present
 from repro.core.atoms import BIT, DBL, LNG, STR
 from repro.core.scalar import SCALAR_OPS
 from repro.sql.ast import (
@@ -74,13 +75,9 @@ def logical_rows(table):
             columns.append([bool(v) for v in raw.tolist()])
         else:
             values = raw.tolist()
-            if values and isinstance(values[0], float):
-                columns.append([None if math.isnan(v) else v
-                                for v in values])
-            else:
-                nil = atom.nil
-                columns.append([None if v == nil else v
-                                for v in values])
+            for position in (~_present(raw, atom)).nonzero()[0].tolist():
+                values[position] = None
+            columns.append(values)
     return list(zip(*columns))
 
 
@@ -133,11 +130,8 @@ def compile_expr(expr, slots):
 
     Operators come from the shared scalar table
     (:mod:`repro.core.scalar`): None propagates through arithmetic and
-    comparisons (so a NULL predicate filters its row out — the SQL
-    convention, which the reference executor shares; the engine's
-    in-domain sentinels compare as ordinary values instead, a
-    documented divergence that only NULL-bearing predicates can
-    observe), and a zero divisor gives what the column kernels give.
+    comparisons (so a NULL predicate filters its row out, as the column
+    kernels do), and a zero divisor gives what the column kernels give.
     Python truth of a predicate's value is its SQL truth: None never
     matches.  Raises :class:`ViewError` for an unknown or ambiguous
     column and for an expression views do not evaluate.
@@ -201,28 +195,28 @@ def infer_atom(expr, tables):
     if isinstance(expr, Column):
         return _column_atom(expr, tables)
     if isinstance(expr, BinOp):
-        if expr.op in ("and", "or", "=", "<>", "<", "<=", ">", ">="):
-            return BIT
         left = infer_atom(expr.left, tables)
         right = infer_atom(expr.right, tables)
+        if expr.op in ("and", "or", "=", "<>", "<", "<=", ">", ">="):
+            return BIT
         if expr.op == "/" or DBL in (left, right):
             return DBL
         return LNG
     if isinstance(expr, UnaryOp):
-        if expr.op == "not":
-            return BIT
-        return infer_atom(expr.operand, tables)
+        operand = infer_atom(expr.operand, tables)
+        return BIT if expr.op == "not" else operand
     if isinstance(expr, IsNull):
         return BIT
     if isinstance(expr, FuncCall) and expr.is_aggregate:
         if expr.name == "count":
+            if len(expr.args) > 1:
+                raise ViewError("count() arity")
             return LNG
-        if expr.name == "avg":
-            return DBL
         if len(expr.args) != 1 or isinstance(expr.args[0], Star):
             raise ViewError("{0} needs one column argument".format(
                 expr.name))
-        return infer_atom(expr.args[0], tables)
+        return DBL if expr.name == "avg" else \
+            infer_atom(expr.args[0], tables)
     raise ViewError("cannot infer the type of {0!r}".format(expr))
 
 

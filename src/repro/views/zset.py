@@ -7,7 +7,7 @@ Z-set per table (appends weigh +1 each, deletes -1; an UPDATE is a -1
 retraction plus a +1 insertion), and the maintenance operators in
 :mod:`repro.views.maintainer` consume these batches — linear operators
 apply them directly (L(A+B) = L(A)+L(B)), aggregates fold them into
-per-group accumulators.
+per-group partial states (:class:`~repro.sql.partials.PartialState`).
 
 Rows live in *logical* (None-based) value space here: the engine's
 in-domain nil sentinels are decoded to None before a row enters a

@@ -67,6 +67,25 @@ class TestSelect:
         cand = algebra.select_range(b, lo="b", hi="c")
         assert cand.decoded() == [1]
 
+    @pytest.mark.parametrize("atom", [INT, LNG])
+    def test_select_range_never_admits_nil(self, atom):
+        """The integer nil is the domain minimum, so an open lower
+        bound (or one at the nil itself) must exclude it — on the scan
+        and on the sorted binary-search path."""
+        nil = atom.nil
+        scan = BAT(atom, [3, nil, 9, 1])
+        assert algebra.select_range(scan, hi=5).decoded() == [0, 3]
+        assert algebra.select_range(scan, lo=nil).decoded() == [0, 2, 3]
+        ordered = BAT(atom, [nil, nil, 1, 3, 9])
+        assert ordered.tsorted
+        assert algebra.select_range(ordered, hi=3,
+                                    hi_incl=True).decoded() == [2, 3]
+        assert algebra.select_range(ordered).decoded() == [2, 3, 4]
+
+    def test_select_range_skips_nil_strings(self):
+        b = BAT.from_values(["ant", None, "cow"])
+        assert algebra.select_range(b, hi="b").decoded() == [0]
+
 
 class TestProject:
     def test_project_reconstructs_tuples(self):
@@ -268,6 +287,26 @@ class TestCalc:
     def test_unknown_operator(self):
         with pytest.raises(KeyError):
             algebra.calc("**", BAT.from_values([1]), 2)
+
+    def test_arithmetic_over_nil_is_nil(self):
+        v = BAT(LNG, [4, LNG.nil])
+        i = BAT(INT, [5, INT.nil])
+        assert algebra.calc("*", v, 2).tail.tolist() == [8, LNG.nil]
+        assert algebra.calc("-", v, 1).tail.tolist() == [3, LNG.nil]
+        assert algebra.calc("+", i, 1).tail.tolist() == [6, LNG.nil]
+        assert algebra.calc("+", v, i).tail.tolist() == [9, LNG.nil]
+        assert np.isnan(algebra.calc("+", i, 0.5).tail[1])
+
+    @pytest.mark.parametrize("op", ["==", "!=", "<", "<=", ">", ">="])
+    def test_comparison_with_nil_is_false(self, op):
+        for bat, other in ((BAT(LNG, [4, LNG.nil]), 4),
+                           (BAT(DBL, [4.0, np.nan]), 4.0),
+                           (BAT.from_values(["a", None]), "a")):
+            assert algebra.calc(op, bat, other).decoded()[1] is False
+
+    def test_nil_string_comparison_does_not_raise(self):
+        s = BAT.from_values(["a", None, "c"])
+        assert algebra.calc("<", s, "b").decoded() == [True, False, False]
 
     def test_ifthenelse(self):
         cond = BAT(BIT, [True, False])

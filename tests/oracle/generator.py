@@ -18,9 +18,9 @@ The generated space is deliberately constrained to stay
 * No NULLs (engines differ legitimately on nil propagation corners),
   no division (avoids 0-divisor and int/float coercion corners), no
   LIMIT without ORDER BY (any row subset would be "correct").
-* Aggregates appear as bare calls — the engine's serial path chokes on
-  ``sum(x) + 1`` over an empty input, which is a known wart, not a
-  parallelism bug.
+* Aggregates appear as bare calls, which keeps the generated shapes
+  within what every engine and the reference agree on; arithmetic over
+  aggregates is covered by ``tests/sql/test_engine_parity.py``.
 * Column names are globally unique so unqualified references are never
   ambiguous; join queries qualify everything anyway.
 """

@@ -8,15 +8,22 @@ cases are the corners where the engines used to differ: aggregates over
 no rows, zero divisors (per row and after aggregation), ORDER BY on an
 alias or under ``*``, HAVING with ORDER BY over aggregates, DISTINCT
 ordered by a column it does not select, NULLs in projections and
-grouped aggregates, multi-column GROUP BY, IS NULL over an aggregate
-and a self-join (which the morsel engine hands to the serial one).
+grouped aggregates (arithmetic over them included), multi-column
+GROUP BY, IS NULL over an aggregate and a self-join (which the morsel
+engine hands to the serial one).
+
+Engines that agree can still agree on a wrong answer, so the NULL
+corners of predicates and column arithmetic are checked against the
+row-at-a-time reference executor as well.
 """
 
 import pytest
 
 from repro.sharding import ShardedDatabase
-from repro.sql import Database
+from repro.sql import Database, parse_sql
 from repro.sql.compiler import SQLCompileError
+from tests.helpers import assert_same_rows
+from tests.oracle.reference import ReferenceExecutor
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -30,6 +37,11 @@ NULL_ROWS = [(k, k % 3,
               None if k % 3 == 1 else k / 4,
               None if k % 5 == 0 else "s{0}".format(k % 4))
              for k in range(24)]
+
+#: Table ``z``: one NULL row among BIGINT/INT/DOUBLE/VARCHAR values.
+Z_COLUMNS = ("k", "v", "i", "d", "s")
+Z_ROWS = [(1, None, None, None, None), (2, 4, 5, 4.0, "a"),
+          (3, -7, 0, -1.5, "b"), (4, 9, -3, 0.5, "c")]
 
 #: (statement, ordered result, the morsel engine runs it itself)
 CASES = [
@@ -57,9 +69,24 @@ CASES = [
      "min(s), max(s), count(s) FROM n GROUP BY g", False, True),
     ("SELECT g, sum(a), avg(a), sum(v), avg(v) FROM n GROUP BY g",
      False, True),
+    ("SELECT g, sum(a) * 2, min(a) - 1 FROM n GROUP BY g", False, True),
     ("SELECT count(a), sum(a), min(v), max(s) FROM n", False, True),
     ("SELECT g, sum(a) IS NULL FROM t GROUP BY g", False, False),
     ("SELECT x.k, y.a FROM t x JOIN t y ON x.k = y.a", False, False),
+]
+
+#: NULL corners outside aggregates: a nil never satisfies a range or a
+#: comparison, and arithmetic over a nil is nil.
+NULL_QUERIES = [
+    "SELECT k FROM z WHERE v < 5",
+    "SELECT k FROM z WHERE i <= 5",
+    "SELECT k FROM z WHERE v <> 4",
+    "SELECT k FROM z WHERE d <> 4.0",
+    "SELECT k FROM z WHERE s < 'b'",
+    "SELECT k FROM z WHERE s <> 'a'",
+    "SELECT k FROM z WHERE v + 0 < 5 AND i > -10",
+    "SELECT k, v * 2, v - 1, i + 1, d * 2, v + i FROM z",
+    "SELECT k, v * 2 AS w FROM z WHERE v < 5",
 ]
 
 
@@ -73,7 +100,9 @@ def _load(db, suffix=""):
     db.execute("CREATE TABLE t (k INT, a INT, g INT)" + suffix)
     db.execute("CREATE TABLE n (k INT, g INT, a INT, v DOUBLE, "
                "s VARCHAR(8))" + suffix)
-    for table, rows in (("t", ROWS), ("n", NULL_ROWS)):
+    db.execute("CREATE TABLE z (k BIGINT, v BIGINT, i INT, d DOUBLE, "
+               "s VARCHAR(8))" + suffix)
+    for table, rows in (("t", ROWS), ("n", NULL_ROWS), ("z", Z_ROWS)):
         db.execute("INSERT INTO {0} VALUES ".format(table) + ", ".join(
             "({0})".format(", ".join(_literal(v) for v in row))
             for row in rows))
@@ -136,3 +165,13 @@ def test_distinct_ordered_outside_its_select_list_is_a_compile_error(
     for run in runners.values():
         with pytest.raises(SQLCompileError):
             run("SELECT DISTINCT g FROM t ORDER BY a")
+
+
+@pytest.mark.parametrize("sql", NULL_QUERIES)
+def test_null_operands_match_the_reference(engines, sql):
+    runners, _ = engines
+    want = ReferenceExecutor({"z": (Z_COLUMNS, Z_ROWS)}).execute(
+        parse_sql(sql))
+    for name, run in runners.items():
+        assert_same_rows(run(sql).rows(), want,
+                         context="{0}: {1}".format(name, sql))

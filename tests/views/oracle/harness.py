@@ -17,14 +17,24 @@ from tests.helpers import assert_same_rows
 RETRACTION_HEAVY = {"insert": 2, "update": 3, "delete": 2}
 
 
-def view_specs(generator, case_id, kinds=("linear", "aggregate",
-                                          "scalar", "join", "eager")):
+#: Every view shape the oracle draws; ``cross`` and ``arith`` group by
+#: a column other than the first (the partition key on a sharded
+#: cluster), so their groups span shards.
+VIEW_KINDS = ("linear", "aggregate", "scalar", "cross", "arith", "join",
+              "eager")
+
+
+def view_specs(generator, case_id, kinds=VIEW_KINDS):
     """Seeded ``(name, select_sql)`` view definitions over the
     generator's schema, one per requested maintenance kind."""
     t0 = generator.tables[0]
     key = t0.column_names[0]
     nums = t0.columns_of_type("BIGINT")
     num = nums[-1] if len(nums) > 1 else key
+    # Few distinct strings make the widest groups; any non-key column
+    # will do.
+    others = t0.columns_of_type("VARCHAR") + t0.column_names[1:]
+    other = others[0]
     specs = []
     if "linear" in kinds:
         predicate = generator.gen_predicate(t0, case_id=case_id)
@@ -41,6 +51,19 @@ def view_specs(generator, case_id, kinds=("linear", "aggregate",
         specs.append(("v_tot",
                       "SELECT count(*) AS n, sum({0}) AS s "
                       "FROM {1}".format(num, t0.name)))
+    if "cross" in kinds:
+        specs.append((
+            "v_cross",
+            "SELECT {other}, count(*) AS n, sum({num}) AS s, "
+            "min({num}) AS lo, max({num}) AS hi, avg({num}) AS a "
+            "FROM {t} GROUP BY {other}".format(other=other, num=num,
+                                               t=t0.name)))
+    if "arith" in kinds:
+        specs.append((
+            "v_arith",
+            "SELECT {other}, sum({num}) * 2 + count(*) AS x "
+            "FROM {t} GROUP BY {other}".format(other=other, num=num,
+                                               t=t0.name)))
     if "join" in kinds and len(generator.tables) > 1:
         t1 = generator.tables[1]
         k1 = t1.column_names[0]

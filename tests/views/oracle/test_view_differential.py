@@ -54,6 +54,8 @@ def test_single_node_views_match_recomputation(seed):
     db = build_engine(generator)
     specs = view_specs(generator, case_id=0)
     create_views(db, specs)
+    for name in ("v_cross", "v_arith"):
+        assert db.views.definition(name).kind == "aggregate"
     reference = make_reference(generator)
     assert_view_contents(db.views.contents, reference, specs,
                          "seed={0} initial".format(seed))
@@ -139,8 +141,10 @@ def test_replicated_views_converge_to_recomputation(seed):
 @pytest.mark.parametrize("seed", SEEDS[:4])
 def test_sharded_views_match_recomputation(seed):
     """Two shards, every base table partitioned by its first column:
-    linear views concatenate per-shard contents, aggregate views merge
-    per-shard partial accumulators — both must equal recomputation."""
+    linear views concatenate per-shard contents, aggregate views finish
+    per-shard part rows — grouped by the partition key, by another
+    column (groups spanning shards) or by nothing — and all must equal
+    recomputation."""
     generator = QueryGenerator(seed)
     db = ShardedDatabase(n_shards=2)
     for table in generator.tables:
@@ -149,8 +153,14 @@ def test_sharded_views_match_recomputation(seed):
         if table.rows:
             db.execute(table.insert_sql())
     specs = view_specs(generator, case_id=0,
-                       kinds=("linear", "aggregate"))
+                       kinds=("linear", "aggregate", "scalar", "cross",
+                              "arith"))
     create_views(db, specs)
+    for name in ("v_cross", "v_arith"):
+        assert db.views[name].kind == "aggregate"
+        for shard in db.shards:
+            assert shard.database.views.definition(name).kind == \
+                "aggregate"
     reference = make_reference(generator)
 
     def contents(name):
