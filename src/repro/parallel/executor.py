@@ -4,8 +4,8 @@ The exchange idiom ("Query Optimization in the Wild"): parallelism
 lives inside the exchange operators, and the plan beneath them is the
 one serial plan.  A SELECT splits into a *part* SELECT plus a
 :class:`~repro.sql.partials.SplitPlan` — the split the shard
-coordinator makes for its legs.  The part SELECT is planned once
-through the engine's statement cache; each worker then runs that
+coordinator makes for its legs.  The part SELECT (under its own key)
+is planned once in the engine's statement cache; each worker then runs that
 optimized plan (compiled or interpreted, as the engine would run it
 serially) over one row range of the first FROM table, and the parts
 merge in morsel order through :func:`~repro.sql.partials.merge_rows` /
@@ -111,9 +111,6 @@ class ParallelSelectExecutor:
                          for ref in refs])
         except Undecomposable as exc:
             raise ParallelUnsupported(str(exc)) from None
-        # The part plan is filed under the original's literal slots, so
-        # the statement cache rebinds it like any other plan.
-        part.params = select.params
 
         def build(orders):
             # Only a statement the serial engine accepts gets a part
@@ -121,7 +118,7 @@ class ParallelSelectExecutor:
             compile_select(catalog, select)
             return compile_select(catalog, part, orders)
 
-        program, names = db._plan(part, "part", build)
+        program, names = db._plan(part, "select", build)
         visible = catalog.tid(first).tail
 
         def run(ctx, morsel):

@@ -151,10 +151,10 @@ class _ShardedBackend:
     """
 
     kind = "sharded"
-    statement_cache = None  # the coordinator plans per shard
 
     def __init__(self, sdb):
         self.sdb = sdb
+        self.statement_cache = sdb.statement_cache
         self.commit_seq = 0
 
     def attach(self, session):

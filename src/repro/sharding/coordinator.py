@@ -44,6 +44,7 @@ from repro.sql.ast import (
 from repro.sql.database import Database, ResultSet
 from repro.sql.parser import parse_sql
 from repro.sql.partials import merge_aggregates as finish_aggregates
+from repro.sql.statement_cache import StatementCache
 from repro.views.definition import classify
 from repro.views.rows import ViewError
 from repro.wal import WriteAheadLog
@@ -191,6 +192,8 @@ class ShardedDatabase:
         self.tracer = tracer if tracer is not None else NO_TRACE
         self.pipeline = pipeline
         self.schema = ShardSchema()
+        # Parses only: each shard plans its legs in its own cache.
+        self.statement_cache = StatementCache()
         # Materialized views (repro.views): the coordinator registry,
         # view name -> ViewDefinition.  Each shard maintains its own
         # copy of every view over its fragment; coordinator reads
@@ -345,6 +348,19 @@ class ShardedDatabase:
             self.tracer.add("shard_shipped_bytes", reply_size)
         return result
 
+    def _ship(self, shard_id, request, statement, workers=None,
+              context=None, timeout=None):
+        """Run ``statement`` on one shard: one :meth:`_rpc`."""
+        return self._rpc(shard_id, request,
+                         lambda: self.shards[shard_id].execute(
+                             statement, workers=workers, context=context),
+                         timeout=timeout)
+
+    def _broadcast(self, request, statement, context=None):
+        """:meth:`_ship` to every :meth:`broadcast_shards` shard."""
+        return [self._ship(shard_id, request, statement, context=context)
+                for shard_id in self.broadcast_shards()]
+
     # -- slow-node defense (repro.governance) -----------------------------------
 
     def _breaker(self, shard_id):
@@ -368,11 +384,8 @@ class ShardedDatabase:
         wait."""
         self.stats.hedged_legs += 1
         self.clock += 2
-        node = self.shards[shard_id]
-        if node.group is not None:
-            return node.group.execute(ast, workers=workers,
-                                      context=context)
-        return node.db.execute(ast, workers=workers, context=context)
+        return self.shards[shard_id].execute(ast, workers=workers,
+                                             context=context)
 
     def _run_leg(self, runner, shard_id, ast, context=None,
                  hedged=False, workers=None):
@@ -439,7 +452,8 @@ class ShardedDatabase:
         scatter leg (and, threaded into the shard databases, at every
         engine checkpoint inside each leg); a kill mid-scatter
         broadcasts a best-effort cancel to the legs not yet run."""
-        statement = parse_sql(sql) if isinstance(sql, str) else sql
+        statement = parse_sql(sql, self.statement_cache) \
+            if isinstance(sql, str) else sql
         self.stats.statements += 1
         owned = None
         if context is None:
@@ -477,10 +491,7 @@ class ShardedDatabase:
                 else:
                     self.default_memory_budget = limit
                 return None
-            for shard_id in self.broadcast_shards():
-                self._rpc(shard_id, ("pragma",),
-                          lambda s=shard_id: self.shards[s]
-                          .execute(statement))
+            self._broadcast(("pragma",), statement)
             return None
         if isinstance(statement, CreateTable):
             return self._create_table(statement)
@@ -515,7 +526,7 @@ class ShardedDatabase:
     def explain(self, statement):
         """The distributed plan of a SELECT, as text."""
         if isinstance(statement, str):
-            statement = parse_sql(statement)
+            statement = parse_sql(statement, self.statement_cache)
         if isinstance(statement, Explain):
             statement = statement.statement
         if not isinstance(statement, Select):
@@ -554,9 +565,7 @@ class ShardedDatabase:
                     statement.name))
         self.schema.register(statement.name, statement.columns,
                              partition_by=statement.partition_by)
-        for shard_id in self.broadcast_shards():
-            self._rpc(shard_id, ("create", statement.name),
-                      lambda s=shard_id: self.shards[s].execute(statement))
+        self._broadcast(("create", statement.name), statement)
         return None
 
     def _anchor_database(self):
@@ -601,9 +610,7 @@ class ShardedDatabase:
                 "decompose per shard; only linear and aggregate views "
                 "are maintainable on a sharded cluster".format(
                     definition.kind))
-        for shard_id in self.broadcast_shards():
-            self._rpc(shard_id, ("create_view", statement.name),
-                      lambda s=shard_id: self.shards[s].execute(statement))
+        self._broadcast(("create_view", statement.name), statement)
         self.views[statement.name] = definition
         return None
 
@@ -612,20 +619,11 @@ class ShardedDatabase:
         if statement.name not in self.views:
             raise KeyError(
                 "no materialized view {0!r}".format(statement.name))
-        for shard_id in self.broadcast_shards():
-            self._rpc(shard_id, ("drop_view", statement.name),
-                      lambda s=shard_id: self.shards[s].execute(statement))
+        self._broadcast(("drop_view", statement.name), statement)
         del self.views[statement.name]
         return None
 
     # -- SELECT ------------------------------------------------------------------
-
-    def _default_runner(self, workers, context=None, timeout=None):
-        return lambda shard_id, ast: self._rpc(
-            shard_id, ("select", repr(ast)),
-            lambda: self.shards[shard_id].execute(ast, workers=workers,
-                                                  context=context),
-            timeout=timeout)
 
     def _select(self, select, workers=None, runner=None, context=None):
         # Hedging defends the coordinator's own scatter; a transaction
@@ -633,9 +631,9 @@ class ShardedDatabase:
         # re-run would not see, so it always waits its legs out.
         hedged = runner is None and self.leg_timeout is not None
         if runner is None:
-            runner = self._default_runner(
-                workers, context=context,
-                timeout=self.leg_timeout if hedged else None)
+            runner = lambda shard_id, ast: self._ship(  # noqa: E731
+                shard_id, ("select", repr(ast)), ast, workers=workers,
+                context=context, timeout=self.leg_timeout)
         refs = [select.table] + [join.table for join in select.joins] \
             if select.table is not None else []
         if any(ref.name in self.views for ref in refs):
@@ -762,20 +760,16 @@ class ShardedDatabase:
             # No context inside the legs — a kill between two shards'
             # independent commits would leave the broadcast divergent;
             # only the 2PC path can cancel a multi-shard write safely.
-            counts = [self._rpc(shard_id, ("dml", statement.table),
-                                lambda s=shard_id: self.shards[s]
-                                .execute(statement))
-                      for shard_id in self.broadcast_shards()]
-            return counts[0]
+            return self._broadcast(("dml", statement.table),
+                                   statement)[0]
         bindings = [(statement.table, info)]
         pruned, value = _prune_value(statement.where, bindings)
         if pruned:
             shard_id = self.shard_map.shard_of(value)
             self.stats.single_shard += 1
             self.stats.pruned += 1
-            return self._rpc(shard_id, ("dml", statement.table),
-                             lambda: self.shards[shard_id]
-                             .execute(statement, context=context))
+            return self._ship(shard_id, ("dml", statement.table),
+                              statement, context=context)
         moves_key = isinstance(statement, Update) and \
             info.partition_by in {c for c, _ in statement.assignments}
         if self.replicas:
@@ -785,10 +779,8 @@ class ShardedDatabase:
                     "(replicas=0)")
             # Same divergence risk as the broadcast above: replicated
             # multi-shard writes run without a context.
-            return sum(self._rpc(shard_id, ("dml", statement.table),
-                                 lambda s=shard_id: self.shards[s]
-                                 .execute(statement))
-                       for shard_id in self.broadcast_shards())
+            return sum(self._broadcast(("dml", statement.table),
+                                       statement))
         # Un-pruned multi-shard write: atomic via two-phase commit.
         txn = self.begin(context=context)
         try:
@@ -802,11 +794,8 @@ class ShardedDatabase:
 
     def _insert(self, statement, info, context=None):
         if info.partition_by is None:
-            counts = [self._rpc(shard_id, ("insert", statement.table),
-                                lambda s=shard_id: self.shards[s]
-                                .execute(statement, context=context))
-                      for shard_id in self.broadcast_shards()]
-            return counts[0]
+            return self._broadcast(("insert", statement.table), statement,
+                                   context=context)[0]
         order = statement.columns or info.column_names
         if info.partition_by not in order:
             raise ValueError(
@@ -816,11 +805,10 @@ class ShardedDatabase:
         split = self.shard_map.split_rows(statement.rows, key_pos)
         total = 0
         for shard_id in sorted(split):
-            rows = split[shard_id]
-            sub = Insert(statement.table, rows, columns=statement.columns)
-            total += self._rpc(shard_id, ("insert", statement.table),
-                               lambda s=shard_id, a=sub: self.shards[s]
-                               .execute(a, context=context))
+            sub = Insert(statement.table, split[shard_id],
+                         columns=statement.columns)
+            total += self._ship(shard_id, ("insert", statement.table),
+                                sub, context=context)
         return total
 
     # -- online resharding -------------------------------------------------------

@@ -8,8 +8,8 @@ engine on its fragment) plus a merge recipe.  Three plan kinds:
     The query provably touches one shard — the table set is all
     reference (unpartitioned, broadcast) tables, only one shard exists,
     or a ``key = literal`` conjunct prunes the hash map to one bucket.
-    The *original* AST ships unchanged, so a one-shard database is
-    bit-identical to the single-node engine.
+    The *original* AST ships unchanged, ``params`` and all, so a
+    one-shard database is bit-identical to the single-node engine.
 
 ``scatter``
     Every shard runs a rewritten SELECT; the coordinator merges.  The

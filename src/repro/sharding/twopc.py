@@ -106,7 +106,8 @@ class ShardedTransaction:
         contexts)."""
         self._check_open()
         self._check_fenced()
-        statement = parse_sql(sql) if isinstance(sql, str) else sql
+        statement = parse_sql(sql, self._co.statement_cache) \
+            if isinstance(sql, str) else sql
         if isinstance(statement, CreateTable):
             raise NotImplementedError("DDL inside a transaction")
         if isinstance(statement, Select):

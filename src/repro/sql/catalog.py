@@ -185,6 +185,9 @@ class Table:
         if atom.dtype.kind not in "iu" or atom.varsized:
             return select_range(self.bind(column), lo, hi, lo_incl,
                                 hi_incl, candidates=self.tid())
+        if lo is None:
+            # An open lower bound starts above the nil (the minimum).
+            lo, lo_incl = int(atom.nil), False
         cracker = self._crackers.get(column)
         if cracker is None:
             from repro.cracking import CrackedStore

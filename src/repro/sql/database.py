@@ -537,8 +537,7 @@ class Database:
 
     def _plan(self, statement, role, build):
         """``(optimized program, output names)`` of one planned
-        statement (``role`` "select", "where", "update", or "part" for
-        the part SELECT morsel workers run).
+        statement (``role`` "select", "where" or "update").
 
         A statement parsed through the statement cache carries
         ``params``: its plan comes from the cache when one fits its
@@ -550,7 +549,7 @@ class Database:
         if params is not None:
             found = self.statement_cache.plan(role, params, self.catalog)
             if found is not None:
-                if role in ("select", "part"):
+                if role == "select":
                     self.plans_reused += 1
                 return found
         orders = []

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from repro.core.algebra import order_rows
 from repro.core.scalar import SCALAR_OPS
 from repro.sql.ast import (
-    BinOp, Column, FuncCall, Literal, SelectItem, UnaryOp,
+    BinOp, Column, FuncCall, Literal, Params, SelectItem, UnaryOp,
     contains_aggregate, expand_items,
 )
 
@@ -224,7 +224,12 @@ def split_select(select, bindings):
     pushes down alone, a bare ORDER BY would be wasted part work).  An
     aggregate's part groups like the original and selects group keys
     ``__g<i>`` and partials ``__p<i>``.  Raises :class:`Undecomposable`.
+
+    A cached statement's part keeps its literal slots under a key of
+    its own, ``("part", key)``: a part may meet its statement on one
+    engine, and the two must never share a plan.
     """
+    params = select.params
     try:
         items = expand_items(select.items, bindings)
     except LookupError as exc:
@@ -241,13 +246,17 @@ def split_select(select, bindings):
                       for i, g in enumerate(select.group_by)]
         part_items += [SelectItem(call, "__p{0}".format(i))
                        for i, (_, call) in enumerate(plan.partials)]
-        return replace(select, items=part_items, having=None, order_by=[],
-                       distinct=False, limit=None), plan
-    plan, hidden = split_rows(select, items)
-    part_items = list(select.items) + [SelectItem(expr, "__o{0}".format(i))
-                                       for i, expr in enumerate(hidden)]
-    return replace(select, items=part_items, order_by=select.order_by
-                   if select.limit is not None else []), plan
+        part = replace(select, items=part_items, having=None, order_by=[],
+                       distinct=False, limit=None)
+    else:
+        plan, hidden = split_rows(select, items)
+        part_items = list(select.items) + [SelectItem(expr, "__o{0}".format(i))
+                                           for i, expr in enumerate(hidden)]
+        part = replace(select, items=part_items, order_by=select.order_by
+                       if select.limit is not None else [])
+    if params is not None:
+        part.params = Params(("part", params.key), params.values)
+    return part, plan
 
 
 # -- the finish -----------------------------------------------------------------

@@ -1,8 +1,8 @@
 """One statement, one answer, on every engine.
 
 Each statement runs on the serial interpreter, the compiled kernels,
-the morsel engine (``workers=4``) and a two-shard cluster.  All four
-must return the same rows — values *and* Python types — or raise the
+the morsel engine (``workers=4``), the cracking pipeline and a
+two-shard cluster.  All five must return the same rows — values *and* Python types — or raise the
 same error class, with warnings as errors (as CI's tier-1 runs).  The
 cases are the corners where the engines used to differ: aggregates over
 no rows, zero divisors (per row and after aggregation), ORDER BY on an
@@ -112,11 +112,13 @@ def _load(db, suffix=""):
 @pytest.fixture(scope="module")
 def engines():
     single = _load(Database())
+    cracked = _load(Database.with_cracking())
     sharded = _load(ShardedDatabase(n_shards=2), " PARTITION BY (k)")
     return {
         "serial": lambda sql: single.execute(sql),
         "compiled": lambda sql: single.execute(sql, compile=True),
         "workers=4": lambda sql: single.execute(sql, workers=4),
+        "cracked": lambda sql: cracked.execute(sql),
         "2 shards": lambda sql: sharded.execute(sql),
     }, single
 

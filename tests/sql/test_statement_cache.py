@@ -7,8 +7,10 @@ values, strings holding ``''``, equal vs unequal literal pairs, a GROUP
 BY expression repeating a select item, IN lists of different lengths,
 ``LIMIT n``, constant folding, two sargable conjuncts and ``--``
 comments holding quotes — with compile on and off, ``workers`` 1 and 4,
-and the default, cracking and recycling pipelines.  Spy tests pin the
-work a cache hit skips; errors are never cached.
+and the default, cracking and recycling pipelines, and a two-shard
+cluster whose legs plan in their shards' caches.  Spy tests pin the
+work a cache hit skips, on one node and on every shard; errors are
+never cached.
 
 CI shifts the table data with ``COMPILE_SEED`` (the compiled bands move
 together).
@@ -27,6 +29,7 @@ import repro.sql.parser as parser_module
 from repro.mal.optimizer.base import Pipeline
 from repro.replication import ReplicationGroup
 from repro.sessions import SessionManager
+from repro.sharding import ShardedDatabase
 from repro.sql import Database
 from repro.sql.lexer import SQLSyntaxError
 from repro.sql.parser import MAX_CACHED_TEXT, parse_sql
@@ -36,15 +39,15 @@ SEED = int(os.environ.get("COMPILE_SEED", "0"))
 STRINGS = ["a", "b", "it's", "x''y", "", "--"]
 
 
-def _setup_sql():
+def _setup_sql(partition=""):
     rng = random.Random(SEED)
     rows = ", ".join(
         "({0}, {1}, {2!r}, {3})".format(
             k, rng.randrange(-3, 8), rng.randrange(0, 60) / 2.0,
             _str(rng.choice(STRINGS)))
         for k in range(60))
-    return ["CREATE TABLE t (k BIGINT, v BIGINT, f DOUBLE, s VARCHAR(8))",
-            "INSERT INTO t VALUES " + rows]
+    return ["CREATE TABLE t (k BIGINT, v BIGINT, f DOUBLE, s VARCHAR(8))"
+            + partition, "INSERT INTO t VALUES " + rows]
 
 
 def _num(value):
@@ -100,7 +103,8 @@ FAMILIES = [
 ]
 
 ENGINES = {"default": Database, "cracking": Database.with_cracking,
-           "recycling": Database.with_recycling}
+           "recycling": Database.with_recycling,
+           "sharded": lambda: ShardedDatabase(n_shards=2)}
 
 
 def _engine(pipeline, compiled, workers, history=(), cold=False):
@@ -109,7 +113,8 @@ def _engine(pipeline, compiled, workers, history=(), cold=False):
     cache is involved in its answers at all."""
     db = ENGINES[pipeline]()
     run = (lambda sql: db.execute(parse_sql(sql))) if cold else db.execute
-    for sql in _setup_sql():
+    for sql in _setup_sql(" PARTITION BY (k)" if pipeline == "sharded"
+                          else ""):
         run(sql)
     run("SET compile = {0}".format("true" if compiled else "false"))
     run("SET workers = {0}".format(workers))
@@ -298,15 +303,19 @@ def _count_lexing(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("backend", ["single", "replicated"])
+@pytest.mark.parametrize("backend", ["single", "replicated", "sharded"])
 def test_session_statements_are_tokenized_at_most_once(monkeypatch,
                                                        backend):
+    partition = ""
     if backend == "single":
         engine = Database()
-    else:
+    elif backend == "replicated":
         engine = ReplicationGroup(n_replicas=2, mode="sync")
+    else:
+        engine = ShardedDatabase(n_shards=2)
+        partition = " PARTITION BY (k)"
     session = SessionManager(engine).session()
-    session.execute("CREATE TABLE a (k BIGINT, v BIGINT)")
+    session.execute("CREATE TABLE a (k BIGINT, v BIGINT)" + partition)
     session.execute("INSERT INTO a VALUES (1, 10), (2, 20), (3, 30)")
     script = ["SELECT v FROM a WHERE k = {0}", "BEGIN",
               "UPDATE a SET v = v + 1 WHERE k = {0}",
@@ -321,6 +330,107 @@ def test_session_statements_are_tokenized_at_most_once(monkeypatch,
             assert counts["lift"] - before["lift"] <= 1, sql
             if key > 1:  # every shape was seen with key 1
                 assert counts["tokenize"] == before["tokenize"], sql
+
+
+# -- every shard plans from its own cache --------------------------------------
+
+R_ROWS = [(v, v % 3) for v in range(-3, 8)]
+
+#: One script per shape the coordinator routes differently: a pruned
+#: point read, a scatter GROUP BY with AVG, a broadcast join against a
+#: reference table, an UPDATE plus SELECT in one transaction, a pruned
+#: DELETE and an un-pruned DELETE (2PC on plain shards, a broadcast on
+#: replicated ones).
+SHARDED_SHAPES = [
+    ("SELECT k, v FROM t WHERE k = {key}",),
+    ("SELECT v, avg(f) FROM t WHERE k > {low} GROUP BY v",),
+    ("SELECT r.w, count(*), sum(t.f) FROM t JOIN r ON t.v = r.v "
+     "WHERE t.k < {high} GROUP BY r.w",),
+    ("UPDATE t SET v = v + {step} WHERE k = {row}",
+     "SELECT v FROM t WHERE k = {row}"),
+    ("DELETE FROM t WHERE k = {key}",),
+    ("DELETE FROM t WHERE f > {above}",),
+]
+
+
+def _sharded(replicas):
+    db = ShardedDatabase(n_shards=2, replicas=replicas)
+    reference = Database()
+    for engine, partition in ((db, " PARTITION BY (k)"), (reference, "")):
+        for sql in _setup_sql(partition):
+            engine.execute(sql)
+        engine.execute("CREATE TABLE r (v BIGINT, w BIGINT)")
+        engine.execute("INSERT INTO r VALUES " + ", ".join(
+            "({0}, {1})".format(v, w) for v, w in R_ROWS))
+    db.execute("SET compile = true")
+    return db, reference
+
+
+def _run_script(db, script, values, transaction):
+    """The answers of one script; a transactional one runs inside a
+    single transaction."""
+    sqls = [sql.format(**values) for sql in script]
+    if transaction:
+        with db.begin() as txn:
+            return [_outcome(txn.execute, sql) for sql in sqls]
+    return [_outcome(db.execute, sql) for sql in sqls]
+
+
+def _twin(db, key):
+    """Another row key that hashes to ``key``'s shard."""
+    shard = db.shard_map.shard_of(key)
+    return next(k for k in range(key + 1, 60)
+                if db.shard_map.shard_of(k) == shard)
+
+
+@pytest.mark.parametrize("replicas", [0, 1])
+def test_warm_shards_plan_nothing_for_new_literals(forbid_planning,
+                                                   replicas):
+    db, reference = _sharded(replicas)
+    # Pruned shapes warm on the shard their fresh literal routes to.
+    key, row = 3, 11
+    warm = {"key": key, "row": row, "low": 10, "high": 50, "step": 100,
+            "above": 100.5}
+    fresh = {"key": _twin(db, key), "row": _twin(db, row), "low": 20,
+             "high": 40, "step": 200, "above": 200.5}
+    runs = [(values, script) for values in (warm, fresh)
+            for script in SHARDED_SHAPES]
+    wants = [_run_script(reference, script, values, False)
+             for values, script in runs]
+    assert wants[-2] == [("count", 1)]  # the fresh pruned DELETE
+    arm, calls = forbid_planning
+    for index, ((values, script), want) in enumerate(zip(runs, wants)):
+        if index == len(SHARDED_SHAPES):
+            arm()
+        # Transactions need plain shards: a replicated cluster
+        # autocommits the script's statements instead.
+        transaction = len(script) > 1 and not replicas
+        assert _run_script(db, script, values, transaction) == want, \
+            (script, calls)
+    assert calls == []
+
+
+def test_a_split_part_never_borrows_its_statements_plan():
+    """A scatter part and its statement share literal slots, not a
+    key: once a merge leaves one shard, the shard that planned the part
+    answers the whole statement."""
+    db = ShardedDatabase(n_shards=2)
+    reference = Database()
+    for engine, partition in ((db, " PARTITION BY (k)"), (reference, "")):
+        engine.execute("CREATE TABLE t (k BIGINT, v BIGINT, g INT)"
+                       + partition)
+        engine.execute("INSERT INTO t VALUES " + ", ".join(
+            "({0}, {1}, {2})".format(k, k * 7 % 11, k % 3)
+            for k in range(40)))
+    sql = "SELECT g, avg(v) FROM t WHERE v > {0} GROUP BY g"
+    assert db.explain(sql.format(1)).startswith("SCATTER")
+    assert sorted(db.query(sql.format(1))) == \
+        sorted(reference.query(sql.format(1)))
+    db.merge_shards(1, 0).run()
+    assert db.explain(sql.format(2)).startswith("SINGLE")
+    got = sorted(db.query(sql.format(2)))
+    assert got == sorted(reference.query(sql.format(2)))
+    assert len(got[0]) == 2
 
 
 # -- failures and bounds ------------------------------------------------------
