@@ -7,13 +7,14 @@ stack (SQL -> MAL -> bulk BAT operators with full materialization) and
 predicate in the inner loop).  The MAL plan executes a few dozen
 instructions regardless of the row count — the instruction-locality
 argument — while the iterator engine's call count scales with tuples.
+The SQL side pins the interpreter (``SET compile = false``): fused
+kernels would hide the bulk operators this experiment counts.
 """
 
 import time
 
-from conftest import run_once
+from conftest import interpreted_database, run_once
 
-from repro.sql import Database
 from repro.storage import (
     GroupAggregate,
     HashJoinOp,
@@ -30,7 +31,7 @@ SQL = ("SELECT category, sum(qty) AS total FROM sales "
 
 def run_both(n_sales):
     schema = StarSchema(n_sales=n_sales, n_items=100)
-    db = schema.populate(Database())
+    db = schema.populate(interpreted_database())
     start = time.perf_counter()
     sql_rows = db.query(SQL)
     bulk_s = time.perf_counter() - start

@@ -1,12 +1,12 @@
 """E24 — plan-fragment compilation: fused kernels vs the interpreter.
 
 A family of scan→filter(→project)→aggregate pipelines runs over a
-50k-row table three ways: operator-at-a-time interpreter, compiled
-(fused kernels, warm plan + kernel caches), and compiled + parallel
-(four morsel workers, each running the part plan's fused kernels over
-one row range).  The compiled column measures exactly what fusion
-buys: one generated pass
-over raw numpy arrays against N materialized operator hops, with the
+50k-row table three ways: operator-at-a-time interpreter (pinned with
+``SET compile = false``), compiled (the default engine: fused kernels,
+warm plan + kernel caches), and compiled + parallel (four morsel
+workers, each running the part plan's fused kernels over one row
+range).  The compiled column measures exactly what fusion buys: one
+generated pass over raw numpy arrays against N materialized operator hops, with the
 per-instruction dispatch and BAT-wrapping overhead gone.
 
 Gates:
@@ -71,13 +71,14 @@ def sweep():
     rows = []
     speedups = {}
     for name, sql in PIPELINES:
+        db.execute("SET compile = false")
         expected = sorted(db.query(sql))
-        assert sorted(db.query(sql, compile=True)) == expected, name
-        assert sorted(db.query(sql, compile=True, workers=4)) == \
-            expected, name
         interp = _time(lambda: db.query(sql))
-        compiled = _time(lambda: db.query(sql, compile=True))
-        par = _time(lambda: db.query(sql, compile=True, workers=4))
+        db.execute("SET compile = true")
+        assert sorted(db.query(sql)) == expected, name
+        assert sorted(db.query(sql, workers=4)) == expected, name
+        compiled = _time(lambda: db.query(sql))
+        par = _time(lambda: db.query(sql, workers=4))
         speedups[name] = interp / compiled
         rows.append((name, round(interp * 1e3, 2),
                      round(compiled * 1e3, 2), round(par * 1e3, 2),
@@ -89,8 +90,8 @@ def sweep():
 def _profile_attribution():
     db = _load(Database())
     sql = PIPELINES[1][1]
-    cold = db.profile(sql, compile=True)     # codegen + first exec
-    warm = db.profile(sql, compile=True)     # cache hit, exec only
+    cold = db.profile(sql)     # codegen + first exec
+    warm = db.profile(sql)     # cache hit, exec only
     def spans(report, name):
         return report.root.find_all(name=name)
     return cold, warm, spans, db.plan_compiler.counters()

@@ -62,6 +62,15 @@ def sink(request):
     out.flush()
 
 
+def interpreted_database():
+    """A plain Database pinned to the MAL interpreter (``SET compile =
+    false``): the baseline of experiments about interpreted operators."""
+    from repro.sql import Database
+    db = Database()
+    db.execute("SET compile = false")
+    return db
+
+
 def run_once(benchmark, fn):
     """Run a harness exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -12,9 +12,9 @@ part plan through the engine's compile path.
 
 Entry points:
 
-* ``Database.execute(sql, compile=True)`` / ``SET compile = true`` —
-  per-statement or per-session opt-in with transparent per-fragment
-  fallback to the interpreter;
+* ``Database`` — every engine runs its planned programs through
+  :class:`PlanCompiler` with transparent per-fragment fallback to the
+  interpreter; ``SET compile = false`` pins the interpreter;
 * :class:`PlanCompiler` — the embeddable driver (shape normalization,
   kernel cache, codegen fault site, mixed fragment/interpreter
   execution).

@@ -5,10 +5,11 @@ lives inside the exchange operators, and the plan beneath them is the
 one serial plan.  A SELECT splits into a *part* SELECT plus a
 :class:`~repro.sql.partials.SplitPlan` — the split the shard
 coordinator makes for its legs.  The part SELECT (under its own key)
-is planned once in the engine's statement cache; each worker then runs that
-optimized plan (compiled or interpreted, as the engine would run it
-serially) over one row range of the first FROM table, and the parts
-merge in morsel order through :func:`~repro.sql.partials.merge_rows` /
+is planned once in the engine's statement cache; each worker then runs
+that optimized plan through the engine's one run path (compiled
+kernels unless ``SET compile = false``) over one row range of the
+first FROM table, and the parts merge in morsel order through
+:func:`~repro.sql.partials.merge_rows` /
 :func:`~repro.sql.partials.merge_aggregates`.
 
 A worker sees the catalog through a read-only range view whose
@@ -75,13 +76,11 @@ class ParallelSelectExecutor:
     """Runs one SELECT of ``database`` on ``workers`` simulated workers.
 
     ``smp_profile`` gives each worker a private simulated cache
-    hierarchy over a shared last-level cache (None: no simulation);
-    ``compiled`` overrides the engine's compile default for the part
-    plan, as ``execute(compile=...)`` does for a serial one.
+    hierarchy over a shared last-level cache (None: no simulation).
     """
 
     def __init__(self, database, workers, smp_profile=None, tracer=None,
-                 governance=None, compiled=None):
+                 governance=None):
         self.database = database
         self.workers = workers
         self.smp_profile = smp_profile
@@ -92,7 +91,6 @@ class ParallelSelectExecutor:
         # only CrashError) without poisoning the per-query scheduler.
         self.governance = governance if governance is not None \
             else NO_GOVERNANCE
-        self.compiled = compiled
 
     def execute(self, select):
         if not isinstance(select, Select):
@@ -124,10 +122,9 @@ class ParallelSelectExecutor:
         def run(ctx, morsel):
             view = _RangeView(catalog, first,
                               visible[morsel.start:morsel.stop])
-            return db._run_compiled(
-                program, names, view, compiled=self.compiled,
-                context=self.governance, tracer=ctx.tracer,
-                hierarchy=ctx.hierarchy).rows()
+            out = db._run_program(program, view, context=self.governance,
+                                  tracer=ctx.tracer, hierarchy=ctx.hierarchy)
+            return db._materialize_result(program, names, out).rows()
 
         def factory(ctx, scheduler, worker):
             return _MorselPart(ctx, scheduler, run, worker=worker,

@@ -57,7 +57,7 @@ from repro.observability.tracer import NO_TRACE
 from repro.replication.log import (
     LogEntry, NotPrimaryError, ReplicatedLog, entry_checksum, record_size,
 )
-from repro.sql.ast import Select
+from repro.sql.ast import Select, SetPragma
 from repro.sql.database import Database
 from repro.sql.parser import parse_sql
 from repro.sql.statement_cache import StatementCache
@@ -590,6 +590,7 @@ class ReplicationGroup:
         DML/DDL routes to the primary (commit semantics per ``mode``);
         SELECT load-balances round-robin across caught-up live
         replicas, falling back to the primary when none qualifies.  A
+        ``SET`` pragma applies to every node's database.  A
         ``session`` adds read-your-writes routing; ``min_lsn`` raises
         the routing floor further (the session layer passes its
         snapshot LSN so a replica read is never older than the
@@ -602,6 +603,11 @@ class ReplicationGroup:
         if isinstance(statement, Select):
             return self._execute_read(statement, session, workers,
                                       min_lsn=min_lsn, context=context)
+        if isinstance(statement, SetPragma):
+            # Session state, not a write: every node serves reads.
+            for node in self.nodes:
+                node.db.execute(statement)
+            return None
         return self._execute_write(statement, session, workers,
                                    context=context)
 

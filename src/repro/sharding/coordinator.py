@@ -686,6 +686,7 @@ class ShardedDatabase:
                 "{0})".format(sorted(set(missing))))
         self.stats.view_reads += 1
         scratch = Database(pipeline=self.pipeline)
+        scratch.default_compile = False  # one statement: codegen never pays
         for name in dict.fromkeys(ref.name for ref in refs):
             definition = self.views[name]
             scratch.catalog.create_table(name, definition.columns)
@@ -725,6 +726,7 @@ class ShardedDatabase:
         """The gather fallback's scratch single-node database: every
         referenced fragment shipped to the coordinator."""
         scratch = Database(pipeline=self.pipeline)
+        scratch.default_compile = False  # one statement: codegen never pays
         seen = set()
         for info in plan.tables:
             if info.name in seen:

@@ -1,10 +1,11 @@
 """The user-facing Database facade: parse -> compile -> optimize -> run."""
 
+from repro.compile import PlanCompiler
 from repro.core.bat import BAT
 from repro.faults import NO_FAULTS
 from repro.governance.context import NO_GOVERNANCE, QueryContext
 from repro.mal.interpreter import Interpreter
-from repro.mal.optimizer import DEFAULT_PIPELINE
+from repro.mal.optimizer import CRACKING_PIPELINE, DEFAULT_PIPELINE
 from repro.observability.tracer import NO_TRACE
 from repro.sql.ast import (
     BeginTransaction, Column, CommitTransaction, CreateMaterializedView,
@@ -121,6 +122,13 @@ class Database:
         ``commit.apply``), the WAL (``wal.append``) and parallel
         execution (``morsel.run``).  Defaults to the inert injector.
 
+    Execution: every planned program — a SELECT, an UPDATE's new rows,
+    a DELETE's or UPDATE's WHERE candidates — runs as fused kernels
+    (:mod:`repro.compile`) with per-fragment fallback to the MAL
+    interpreter.  ``SET compile = false`` pins the interpreter, the
+    reference engine; a database with a recycler or on the cracking
+    pipeline starts pinned.
+
     Parallel execution: ``execute(sql, workers=N)`` (or the session
     pragma ``SET workers = N``) runs a SELECT on N simulated morsel
     workers, each running the statement's cached part plan over one
@@ -163,11 +171,16 @@ class Database:
         self.default_workers = 1
         self.parallel_runs = 0
         self.parallel_fallbacks = 0
-        # Plan-fragment compilation (repro.compile): off by default,
-        # enabled per statement (execute(..., compile=True)) or per
-        # session (SET compile = true).  Built lazily on first use.
-        self.default_compile = False
-        self._plan_compiler = None
+        # Plan-fragment compilation (repro.compile): every plan runs as
+        # fused kernels with per-fragment fallback to the interpreter;
+        # SET compile = false pins the interpreter for the session.
+        # Two engines start pinned: the recycler caches interpreter
+        # instruction results, which kernels would run past, and a
+        # cracked range select pays off against an interpreted scan
+        # only (on the compiled path it loses to a fused scan).
+        self.default_compile = (recycler is None
+                                and pipeline is not CRACKING_PIPELINE)
+        self.plan_compiler = PlanCompiler(self)
         self.last_parallel = None  # ParallelResult of the latest SELECT
         # Query governance (repro.governance): session-level defaults,
         # set by the SET deadline / SET memory_budget pragmas.  When
@@ -201,26 +214,15 @@ class Database:
     @classmethod
     def with_cracking(cls):
         """A database whose range selections crack columns (§6.1)."""
-        from repro.mal.optimizer import CRACKING_PIPELINE
         return cls(pipeline=CRACKING_PIPELINE)
 
     # -- statement routing ---------------------------------------------------
-
-    @property
-    def plan_compiler(self):
-        """The plan-fragment compiler (repro.compile), built lazily so
-        databases that never set ``compile`` pay nothing for it."""
-        if self._plan_compiler is None:
-            from repro.compile import PlanCompiler
-            self._plan_compiler = PlanCompiler(self)
-        return self._plan_compiler
 
     def _schema_changed(self):
         """The one invalidation call: the schema changed, so every
         cached statement, plan and compiled kernel is suspect."""
         self.statement_cache.clear()
-        if self._plan_compiler is not None:
-            self._plan_compiler.bump_schema()
+        self.plan_compiler.bump_schema()
 
     def _make_context(self):
         """An owned QueryContext from the session defaults, or None
@@ -231,17 +233,14 @@ class Database:
         return QueryContext(deadline=self.default_deadline,
                             memory_budget=self.default_memory_budget)
 
-    def execute(self, sql, workers=None, compile=None, context=None):
+    def execute(self, sql, workers=None, context=None):
         """Execute one SQL statement (autocommit).
 
         Returns a :class:`ResultSet` for SELECT, the affected row count
         for DML, None for DDL, and for ``EXPLAIN``/``PROFILE`` a
         one-column ``plan`` ResultSet holding the rendered plan or
         span-tree lines.  ``workers`` overrides the session's worker
-        count (``SET workers = N``) for this statement; ``compile``
-        likewise overrides ``SET compile`` to run SELECTs through the
-        plan-fragment compiler (repro.compile) with transparent
-        per-fragment fallback to the interpreter.
+        count (``SET workers = N``) for this statement.
 
         ``context`` is an optional
         :class:`~repro.governance.QueryContext` checked cooperatively
@@ -259,13 +258,11 @@ class Database:
             context = owned = self._make_context()
         try:
             if not self.tracer.enabled:
-                return self._execute_statement(sql, workers, compile,
-                                               context=context)
+                return self._execute_statement(sql, workers, context)
             label = sql if isinstance(sql, str) else repr(sql)
             with self.tracer.span("statement", kind="statement",
                                   sql=label[:200]):
-                return self._execute_statement(sql, workers, compile,
-                                               context=context)
+                return self._execute_statement(sql, workers, context)
         except GovernanceError:
             self.governance_kills += 1
             raise
@@ -273,23 +270,21 @@ class Database:
             if owned is not None:
                 owned.release()
 
-    def _execute_statement(self, sql, workers=None, compile=None,
-                           context=None):
+    def _execute_statement(self, sql, workers=None, context=None):
         effective = self._workers(workers)
-        compiled = self.default_compile if compile is None else compile
         # Pre-parsed statement ASTs run directly (sessions, sharding and
         # replication route statements as ASTs, not text).
         statement = parse_sql(sql, self.statement_cache) \
             if isinstance(sql, str) else sql
         if isinstance(statement, Select):
             if effective > 1:
-                result = self._run_parallel(statement, effective, compiled,
+                result = self._run_parallel(statement, effective,
                                             self.tracer, self.smp_profile,
                                             context=context)
                 if result is not None:
                     return ResultSet(result.names, result.columns)
             return self._run_select(statement, view=self.catalog,
-                                    compiled=compiled, context=context)
+                                    context=context)
         if isinstance(statement, Explain):
             plan = self._explain_statement(statement.statement)
             return ResultSet(["plan"], [plan.splitlines()])
@@ -366,9 +361,9 @@ class Database:
             return self._apply_update(statement, context=context)
         raise TypeError("unsupported statement {0!r}".format(statement))
 
-    def query(self, sql, workers=None, compile=None):
+    def query(self, sql, workers=None):
         """Shorthand: execute a SELECT and return its rows."""
-        return self.execute(sql, workers=workers, compile=compile).rows()
+        return self.execute(sql, workers=workers).rows()
 
     def _workers(self, workers):
         """The worker count a statement runs with: ``workers``, or the
@@ -415,8 +410,8 @@ class Database:
                     name))
         return value or None
 
-    def _run_parallel(self, statement, workers, compiled, tracer,
-                      smp_profile, context=None):
+    def _run_parallel(self, statement, workers, tracer, smp_profile,
+                      context=None):
         """A SELECT's :class:`~repro.parallel.ParallelResult`, or None
         when the shape has no parallel plan or every worker died (the
         caller then runs the serial engine — graceful degradation,
@@ -427,7 +422,7 @@ class Database:
         )
         executor = ParallelSelectExecutor(
             self, workers, smp_profile=smp_profile, tracer=tracer,
-            governance=context, compiled=compiled)
+            governance=context)
         try:
             result = executor.execute(statement)
         except ParallelUnsupported:
@@ -458,8 +453,7 @@ class Database:
         program, _ = compile_select(self.catalog, statement)
         return str(self.pipeline.optimize(program))
 
-    def profile(self, sql, workers=None, hardware_profile=None,
-                compile=None):
+    def profile(self, sql, workers=None, hardware_profile=None):
         """Execute a SELECT with tracing on; returns a
         :class:`~repro.observability.QueryProfile`.
 
@@ -480,13 +474,12 @@ class Database:
         profile = self._profile_statement(
             statement, sql if isinstance(sql, str) else "",
             workers=self._workers(workers),
-            hardware_profile=hardware_profile,
-            compile=compile)
+            hardware_profile=hardware_profile)
         self.last_profile = profile
         return profile
 
     def _profile_statement(self, statement, sql_text, workers=1,
-                           hardware_profile=None, compile=None):
+                           hardware_profile=None):
         from repro.hardware.profiles import SCALED_DEFAULT, SCALED_SMP
         from repro.observability.profiling import QueryProfile
         from repro.observability.tracer import Tracer
@@ -495,12 +488,11 @@ class Database:
                 "PROFILE supports only SELECT statements, got {0}".format(
                     statement_kind(statement)))
         tracer = Tracer()
-        compiled = self.default_compile if compile is None else compile
         if workers > 1:
             with tracer.span("query", kind="query", sql=sql_text[:200],
                              engine="parallel", workers=workers):
                 result = self._run_parallel(
-                    statement, workers, compiled, tracer,
+                    statement, workers, tracer,
                     SCALED_SMP if self.smp_profile is None
                     else self.smp_profile)
             if result is not None:
@@ -517,11 +509,11 @@ class Database:
                 program, names = compile_select(self.catalog, statement)
                 program = self.pipeline.optimize(program)
             with tracer.span("execute", kind="pipeline",
-                             compiled=compiled):
-                result = self._run_compiled(
-                    program, names, self.catalog, compiled=compiled,
-                    tracer=tracer, hierarchy=hierarchy)
-        return QueryProfile(tracer.roots[-1], result,
+                             kernels=self.default_compile):
+                out = self._run_program(program, self.catalog,
+                                        tracer=tracer, hierarchy=hierarchy)
+        return QueryProfile(tracer.roots[-1],
+                            self._materialize_result(program, names, out),
                             hierarchy=hierarchy)
 
     def begin(self, pin=False):
@@ -559,18 +551,20 @@ class Database:
             self.statement_cache.store(role, params, program, names, orders)
         return program, names
 
-    def _run_select(self, statement, view, compiled=None, context=None):
+    def _run_select(self, statement, view, context=None):
         program, names = self._plan(
             statement, "select",
             lambda orders: compile_select(self.catalog, statement, orders))
-        return self._run_compiled(program, names, view, compiled=compiled,
-                                  context=context)
+        out = self._run_program(program, view, context=context)
+        return self._materialize_result(program, names, out)
 
-    def _run_compiled(self, program, names, view, compiled=None,
-                      context=None, tracer=None, hierarchy=None):
-        """Run a planned program against ``view`` (the catalog, a
-        transaction snapshot or a morsel's range view), compiled when
-        ``compiled`` (default: the engine's) says so.  A ``tracer`` or
+    def _run_program(self, program, view, context=None, tracer=None,
+                     hierarchy=None):
+        """``{return var: value}`` of a planned program run against
+        ``view`` (the catalog, a transaction snapshot or a morsel's
+        range view): the one run path of every SELECT, UPDATE-rows and
+        WHERE-candidates plan.  Compiled unless ``SET compile = false``,
+        with per-fragment fallback to the interpreter.  A ``tracer`` or
         ``hierarchy`` gives the run its own span stream and simulated
         caches."""
         tracer = self.tracer if tracer is None else tracer
@@ -580,20 +574,17 @@ class Database:
         else:
             interpreter = Interpreter(view, recycler=self.recycler,
                                       tracer=tracer, hierarchy=hierarchy)
-        use_compiler = self.default_compile if compiled is None \
-            else compiled
         interpreter.governance = context if context is not None \
             else NO_GOVERNANCE
         try:
-            if use_compiler:
+            if self.default_compile:
                 out = self.plan_compiler.try_run(program, view,
                                                  interpreter,
                                                  tracer=tracer,
                                                  hierarchy=hierarchy)
                 if out is not None:
-                    return self._materialize_result(program, names, out)
-            out = interpreter.run(program)
-            return self._materialize_result(program, names, out)
+                    return out
+            return interpreter.run(program)
         finally:
             interpreter.governance = NO_GOVERNANCE
 
@@ -617,11 +608,8 @@ class Database:
             lambda orders: (compile_where_candidates(
                 self.catalog, statement.table, statement.where, orders),
                 None))
-        interpreter = Interpreter(view)
-        if context is not None:
-            interpreter.governance = context
-        cand = interpreter.run_single(program)
-        return cand.decoded()
+        out = self._run_program(program, view, context=context)
+        return out[program.returns[0]].decoded()
 
     def _eval_update_rows(self, table, statement, view, context=None):
         """New full rows (column order) for an UPDATE's matched tuples."""
@@ -637,8 +625,8 @@ class Database:
                             where=statement.where)
             return compile_select(self.catalog, select, orders)
         program, names = self._plan(statement, "update", build)
-        result = self._run_compiled(program, names, view, context=context)
-        return result.rows()
+        out = self._run_program(program, view, context=context)
+        return self._materialize_result(program, names, out).rows()
 
     def _reject_view_dml(self, table_name):
         """Views are read-only derived state: DML targets base tables."""

@@ -13,6 +13,7 @@ from repro.compile import KernelCache, normalize
 from repro.sql.database import Database
 from repro.sql.parser import parse_sql
 from repro.sql.compiler import compile_select
+from tests.helpers import query_interpreted
 
 
 def _db(rows=50):
@@ -82,7 +83,7 @@ def test_repeated_query_hits_kernel_cache():
     db = _db()
     sql = "SELECT sum(v) FROM t WHERE k > 10"
     for _ in range(3):
-        db.query(sql, compile=True)
+        db.query(sql)
     stats = db.plan_compiler.counters()
     assert stats["kernel_cache_misses"] == 1
     assert stats["kernel_cache_hits"] == 2
@@ -91,9 +92,9 @@ def test_repeated_query_hits_kernel_cache():
 
 def test_create_table_invalidates_kernels():
     db = _db()
-    db.query("SELECT sum(v) FROM t WHERE k > 10", compile=True)
+    db.query("SELECT sum(v) FROM t WHERE k > 10")
     db.execute("CREATE TABLE other (x INTEGER)")
-    db.query("SELECT sum(v) FROM t WHERE k > 10", compile=True)
+    db.query("SELECT sum(v) FROM t WHERE k > 10")
     stats = db.plan_compiler.counters()
     assert stats["kernel_cache_invalidations"] == 1
     assert stats["kernel_cache_misses"] == 2
@@ -101,14 +102,15 @@ def test_create_table_invalidates_kernels():
 
 def test_cracking_layout_change_respecializes():
     db = Database.with_cracking()
+    db.execute("SET compile = true")
     db.execute("CREATE TABLE t (k INTEGER, v INTEGER, g INTEGER)")
     db.execute("INSERT INTO t VALUES " + ", ".join(
         "({0}, {1}, {2})".format(i, (i * 37) % 100, i % 3)
         for i in range(50)))
     sql = "SELECT sum(v) FROM t WHERE k > 10 AND k < 40"
-    first = db.query(sql, compile=True)   # creates the cracker mid-run
-    second = db.query(sql, compile=True)  # layout token changed
-    assert first == second == db.query(sql)
+    first = db.query(sql)   # creates the cracker mid-run
+    second = db.query(sql)  # layout token changed
+    assert first == second == query_interpreted(db, sql)
     stats = db.plan_compiler.counters()
     assert stats["kernel_cache_invalidations"] >= 1
 
@@ -119,19 +121,19 @@ def test_unsupported_shapes_fall_back_without_counting_misses():
     # plan's fusible prefix is shorter than the fragment floor for this
     # tiny shape, or compiles partially.  Either way: same answers.
     sql = "SELECT k FROM t ORDER BY k LIMIT 3"
-    assert db.query(sql, compile=True) == db.query(sql)
+    assert db.query(sql) == query_interpreted(db, sql)
 
     # A FROM-less engine path that surely can't fuse: constant select.
-    assert db.query("SELECT count(*) FROM t", compile=True) == \
-        db.query("SELECT count(*) FROM t")
+    assert db.query("SELECT count(*) FROM t") == \
+        query_interpreted(db, "SELECT count(*) FROM t")
 
 
 def test_set_compile_pragma_flows_through_sessions():
     db = _db()
+    assert db.default_compile is True   # kernels are the default
+    baseline = query_interpreted(db, "SELECT sum(v) FROM t WHERE k > 7")
     db.execute("SET compile = true")
     assert db.default_compile is True
-    baseline = db.query("SELECT sum(v) FROM t WHERE k > 7",
-                        compile=False)
     assert db.query("SELECT sum(v) FROM t WHERE k > 7") == baseline
     assert db.plan_compiler.stats["compiled_runs"] >= 1
     # Transactions inherit the session default.
@@ -153,7 +155,11 @@ def test_compiled_runs_inside_sharded_scatter_legs():
                     "PARTITION BY (k)")
     sharded.execute("INSERT INTO t VALUES " + ", ".join(
         "({0}, {1})".format(i, (i * 37) % 100) for i in range(60)))
+    sharded.execute("SET compile = false")
     baseline = sorted(sharded.query("SELECT k, v FROM t WHERE k > 10"))
+    assert sum(shard.db.plan_compiler.stats["compiled_runs"]
+               for shard in sharded.shards) == 0, \
+        "SET compile = false did not reach the shard legs"
     sharded.execute("SET compile = true")
     assert sorted(sharded.query(
         "SELECT k, v FROM t WHERE k > 10")) == baseline
@@ -161,6 +167,5 @@ def test_compiled_runs_inside_sharded_scatter_legs():
         [(sum(v for k, v in baseline),)]
     compiled_runs = sum(
         shard.db.plan_compiler.stats["compiled_runs"]
-        for shard in sharded.shards
-        if shard.db._plan_compiler is not None)
+        for shard in sharded.shards)
     assert compiled_runs >= 1, "no shard leg ran compiled"

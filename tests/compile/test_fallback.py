@@ -27,11 +27,12 @@ def _scenario(faults):
     db.execute("INSERT INTO t VALUES " + ", ".join(
         "({0}, {1}, {2})".format(i, (i * 37) % 100, i % 3)
         for i in range(80)))
-    return db, [db.query(sql, compile=True) for sql in QUERIES]
+    return db, [db.query(sql) for sql in QUERIES]
 
 
 def _expected():
     db = Database()
+    db.execute("SET compile = false")
     db.execute("CREATE TABLE t (k INTEGER, v INTEGER, g INTEGER)")
     db.execute("INSERT INTO t VALUES " + ", ".join(
         "({0}, {1}, {2})".format(i, (i * 37) % 100, i % 3)
@@ -54,7 +55,7 @@ def test_codegen_site_is_hit_once_per_fresh_shape():
     assert injector.observed().get("compile.codegen") == len(QUERIES)
     # Warm shapes skip codegen entirely — no second hit per query.
     for sql in QUERIES:
-        db.query(sql, compile=True)
+        db.query(sql)
     assert injector.observed().get("compile.codegen") == len(QUERIES)
 
 
@@ -74,7 +75,7 @@ def test_codegen_crash_falls_back_to_interpreter(point):
     # compiles it now that the fault is spent.
     crashed_sql = QUERIES[hit - 1]
     runs_before = stats["compiled_runs"]
-    assert sorted(db.query(crashed_sql, compile=True)) == \
+    assert sorted(db.query(crashed_sql)) == \
         _expected()[hit - 1]
     assert db.plan_compiler.stats["compiled_runs"] == runs_before + 1
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sql.database import Database
-from tests.helpers import normalize_row
+from tests.helpers import normalize_row, query_interpreted
 
 rows_strategy = st.lists(
     st.tuples(
@@ -75,8 +75,8 @@ def test_compiled_equals_interpreted(rows, queries):
     _load(db, rows)
     for template_id, c0, c1, g, s in queries:
         sql = TEMPLATES[template_id].format(c0=c0, c1=c1, g=g, s=s)
-        interpreted = db.query(sql)
-        compiled = db.query(sql, compile=True)
+        interpreted = query_interpreted(db, sql)
+        compiled = db.query(sql)
         assert _multiset(compiled) == _multiset(interpreted), sql
     assert db.plan_compiler.stats["interpreted_fallbacks"] == 0
 
@@ -96,11 +96,11 @@ def test_compiled_equals_interpreted_across_pipelines(rows, query,
     sql = TEMPLATES[template_id].format(c0=c0, c1=c1, g=g, s=s)
     # Twice each way: the second compiled run hits the kernel cache,
     # and under cracking the layouts differ between runs.
-    first = db.query(sql)
+    first = query_interpreted(db, sql)
+    db.execute("SET compile = true")
     for _ in range(2):
-        assert _multiset(db.query(sql, compile=True)) == \
-            _multiset(first), sql
-    assert _multiset(db.query(sql)) == _multiset(first), sql
+        assert _multiset(db.query(sql)) == _multiset(first), sql
+    assert _multiset(query_interpreted(db, sql)) == _multiset(first), sql
 
 
 def test_empty_vectors_through_every_shape():
@@ -111,5 +111,5 @@ def test_empty_vectors_through_every_shape():
     _load(db, [])
     for template_id in range(len(TEMPLATES)):
         sql = TEMPLATES[template_id].format(c0=0, c1=0, g=0, s="aa")
-        assert _multiset(db.query(sql, compile=True)) == \
-            _multiset(db.query(sql)), sql
+        assert _multiset(db.query(sql)) == \
+            _multiset(query_interpreted(db, sql)), sql

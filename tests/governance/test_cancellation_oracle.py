@@ -1,9 +1,9 @@
 """The cancellation-oracle band: "a kill never corrupts state".
 
 Scenarios are generated by the differential-testing generator and run
-on every engine topology — single node (interpreted, compiled and
-morsel-parallel paths), sharded scatter-gather, 2PC transactions and
-replicated routing.  For each one the oracle dry-runs under a
+on every engine topology — single node (kernels, the interpreter
+pinned by ``SET compile = false``, and morsel-parallel paths), sharded
+scatter-gather, 2PC transactions and replicated routing.  For each one the oracle dry-runs under a
 CountingContext to enumerate every (site, hit) checkpoint the
 execution passes through, then re-runs fresh with a kill armed at each
 point: the kill must fire, committed state must be byte-identical to
@@ -45,6 +45,15 @@ def _snapshot_fn(db, tables):
     return snapshot
 
 
+def _interpreted_database():
+    """A single node pinned to the MAL interpreter, the engine that
+    serves recycling and cracking databases and the coordinator's
+    scratch databases."""
+    db = Database()
+    db.execute("SET compile = false")
+    return db
+
+
 def _build(generator, factory=Database):
     db = factory()
     for sql in generator.setup_statements():
@@ -55,12 +64,12 @@ def _build(generator, factory=Database):
 # -- scenario factories (fresh engine per armed schedule) ---------------------
 
 
-def select_scenario(seed, case_id, workers=None):
+def select_scenario(seed, case_id, workers=None, factory=Database):
     generator = QueryGenerator(seed)
     sql = generator.gen_query(case_id=case_id)
 
     def scenario():
-        db = _build(generator)
+        db = _build(generator, factory)
         tables = generator.reference_tables()
 
         def run(context):
@@ -72,7 +81,7 @@ def select_scenario(seed, case_id, workers=None):
     return scenario, sql, generator
 
 
-def dml_scenario(seed, case_id, index):
+def dml_scenario(seed, case_id, index, factory=Database):
     """Script statements before ``index`` are committed ungoverned;
     statement ``index`` runs under the armed context."""
     generator = QueryGenerator(seed)
@@ -81,7 +90,7 @@ def dml_scenario(seed, case_id, index):
         return None
 
     def scenario():
-        db = _build(generator)
+        db = _build(generator, factory)
         for sql in script[:index]:
             db.execute(sql)
         tables = generator.reference_tables()
@@ -163,11 +172,13 @@ def replicated_scenario(seed, case_id):
 # -- the fast band ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_select_kills_are_clean_and_match_reference(seed):
+def _sweep_selects(seed, factory):
+    """Sweep three generated SELECTs; return the kill sites seen."""
     swept = 0
+    sites = set()
     for case_id in range(3):
-        scenario, sql, generator = select_scenario(seed, case_id)
+        scenario, sql, generator = select_scenario(seed, case_id,
+                                                   factory=factory)
         oracle = CancellationOracle(scenario, max_points=6)
         expected, _, _ = oracle.dry_run()
         try:
@@ -179,21 +190,48 @@ def test_select_kills_are_clean_and_match_reference(seed):
             assert sorted(expected) == sorted(reference), sql
         report = oracle.sweep().check()
         swept += report.schedules
+        sites.update(site for site, _ in report.kill_points)
     assert swept > 0
+    return sites
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_dml_kills_leave_committed_state_untouched(seed):
+def _sweep_dml(seed, factory):
+    """Sweep generated DML scripts; return the kill sites seen."""
     swept = 0
+    sites = set()
     for case_id in range(2):
         for index in range(4):
-            scenario = dml_scenario(seed, case_id, index)
+            scenario = dml_scenario(seed, case_id, index, factory)
             if scenario is None:
                 continue
             report = CancellationOracle(scenario,
                                         max_points=4).sweep().check()
             swept += report.schedules
-    assert swept > 0  # deletes/updates always hit interp checkpoints
+            sites.update(site for site, _ in report.kill_points)
+    assert swept > 0  # deletes/updates always hit execution checkpoints
+    return sites
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_select_kills_are_clean_and_match_reference(seed):
+    _sweep_selects(seed, Database)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_interpreted_select_kills_are_clean_and_match_reference(seed):
+    sites = _sweep_selects(seed, _interpreted_database)
+    assert "interp.instr" in sites and "compile.fragment" not in sites
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dml_kills_leave_committed_state_untouched(seed):
+    _sweep_dml(seed, Database)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_interpreted_dml_kills_leave_committed_state_untouched(seed):
+    sites = _sweep_dml(seed, _interpreted_database)
+    assert "interp.instr" in sites and "compile.fragment" not in sites
 
 
 @pytest.mark.parametrize("seed", SEEDS)

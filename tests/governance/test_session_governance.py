@@ -1,7 +1,15 @@
 """Session-layer governance: per-statement contexts, SET pragmas, the
 retryable error surface (no raw tracebacks leak), transaction abort on
 a governed kill, and over-budget tenants shedding via admission
-control."""
+control.
+
+Every test runs twice: on the default engine (compiled kernels) and,
+through the ``...Interpreted`` subclasses, with the interpreter pinned
+(``SET compile = false``).  A deadline test kills ``trigger``: a fused
+filter+projection is one fragment, one cancellation region, so on
+kernels the trigger adds an interpreted sort to cross a second
+checkpoint.
+"""
 
 import pytest
 
@@ -15,9 +23,10 @@ from repro.sql.database import Database
 ROWS = 3000
 
 
-@pytest.fixture
-def db():
+def _loaded(*pragmas):
     db = Database()
+    for pragma in pragmas:
+        db.execute(pragma)
     db.execute("CREATE TABLE t (a INT, b INT)")
     for start in range(0, ROWS, 100):
         db.execute("INSERT INTO t VALUES " + ", ".join(
@@ -26,13 +35,35 @@ def db():
     return db
 
 
+@pytest.fixture
+def db():
+    return _loaded()
+
+
+@pytest.fixture
+def trigger():
+    return "SELECT a FROM t WHERE b = 3 ORDER BY a DESC LIMIT 5"
+
+
+class Interpreted:
+    """Reruns the inherited tests with the interpreter pinned."""
+
+    @pytest.fixture
+    def db(self):
+        return _loaded("SET compile = false")
+
+    @pytest.fixture
+    def trigger(self):
+        return "SELECT a FROM t WHERE b = 3"
+
+
 class TestSessionPragmas:
-    def test_set_deadline_kills_then_clear_restores(self, db):
+    def test_set_deadline_kills_then_clear_restores(self, db, trigger):
         manager = SessionManager(db)
         session = manager.session(tenant="t")
         session.execute("SET deadline = 1")
         with pytest.raises(DeadlineExceeded):
-            session.execute("SELECT a FROM t WHERE b = 3")
+            session.execute(trigger)
         session.execute("SET deadline = 0")  # 0 clears the limit
         assert session.query("SELECT COUNT(*) FROM t") == [(ROWS,)]
 
@@ -51,11 +82,11 @@ class TestSessionPragmas:
         limited.execute("SET deadline = 1")
         assert free.query("SELECT COUNT(*) FROM t") == [(ROWS,)]
 
-    def test_manager_defaults_seed_new_sessions(self, db):
+    def test_manager_defaults_seed_new_sessions(self, db, trigger):
         manager = SessionManager(db, default_deadline=1)
         session = manager.session(tenant="t")
         with pytest.raises(DeadlineExceeded):
-            session.execute("SELECT a FROM t WHERE b = 3")
+            session.execute(trigger)
 
     def test_pragma_validation(self, db):
         session = SessionManager(db).session()
@@ -64,12 +95,13 @@ class TestSessionPragmas:
 
 
 class TestErrorSurface:
-    def test_governed_errors_are_retryable_with_stable_reasons(self, db):
+    def test_governed_errors_are_retryable_with_stable_reasons(self, db,
+                                                               trigger):
         manager = SessionManager(db)
         session = manager.session(tenant="t")
         session.execute("SET deadline = 1")
         with pytest.raises(GovernanceError) as info:
-            session.execute("SELECT a FROM t WHERE b = 3")
+            session.execute(trigger)
         status = info.value.status()
         assert status["retryable"] is True
         assert status["reason"] == "deadline"
@@ -78,63 +110,63 @@ class TestErrorSurface:
         assert session.last_status == status
         assert session.governed == 1 and manager.governed == 1
 
-    def test_no_raw_traceback_leaks_through_session_execute(self, db):
+    def test_no_raw_traceback_leaks_through_session_execute(self, db, trigger):
         """Regression pin: the message a client sees is one clean line
         — no frames, no file paths, no chained engine internals."""
         manager = SessionManager(db)
         session = manager.session(tenant="t")
         session.execute("SET deadline = 1")
         with pytest.raises(GovernanceError) as info:
-            session.execute("SELECT a FROM t WHERE b = 3")
+            session.execute(trigger)
         message = str(info.value)
         assert "\n" not in message
         for leak in ("Traceback", 'File "', ".py", "repro.", "0x"):
             assert leak not in message
         assert info.value.__cause__ is None  # not re-wrapped
 
-    def test_governed_kill_is_stamped_on_the_statement_span(self, db):
+    def test_governed_kill_is_stamped_on_the_statement_span(self, db, trigger):
         from repro.observability.tracer import Tracer
         tracer = Tracer()
         manager = SessionManager(db, tracer=tracer)
         session = manager.session(tenant="t")
         session.execute("SET deadline = 1")
         with pytest.raises(GovernanceError):
-            session.execute("SELECT a FROM t WHERE b = 3")
+            session.execute(trigger)
         span = tracer.roots[-1].find("session.statement")
         assert span.attrs["governed"] == "deadline"
 
-    def test_statement_after_kill_succeeds(self, db):
+    def test_statement_after_kill_succeeds(self, db, trigger):
         manager = SessionManager(db)
         session = manager.session(tenant="t")
         session.execute("SET deadline = 1")
         with pytest.raises(GovernanceError):
-            session.execute("SELECT a FROM t WHERE b = 3")
+            session.execute(trigger)
         session.execute("SET deadline = 0")
         assert session.query("SELECT COUNT(*) FROM t") == [(ROWS,)]
 
 
 class TestTransactionAbort:
-    def test_kill_mid_transaction_aborts_it_cleanly(self, db):
+    def test_kill_mid_transaction_aborts_it_cleanly(self, db, trigger):
         manager = SessionManager(db)
         session = manager.session(tenant="t")
         session.execute("BEGIN")
         session.execute("DELETE FROM t WHERE b = 1")
         session.execute("SET deadline = 1")
         with pytest.raises(GovernanceError):
-            session.execute("SELECT a FROM t WHERE b = 3")
+            session.execute(trigger)
         # The kill aborted the transaction: buffered deletes vanished.
         assert not session.in_transaction
         assert session.aborts == 1
         assert db.query("SELECT COUNT(*) FROM t") == [(ROWS,)]
 
-    def test_admission_slot_released_on_governed_abort(self, db):
+    def test_admission_slot_released_on_governed_abort(self, db, trigger):
         admission = AdmissionController(max_inflight=1)
         manager = SessionManager(db, admission=admission,
                                  default_deadline=1)
         session = manager.session(tenant="t")
         session.execute("BEGIN")
         with pytest.raises(GovernanceError):
-            session.execute("SELECT a FROM t WHERE b = 3")
+            session.execute(trigger)
         assert admission.inflight == 0  # slot returned, not leaked
 
 
@@ -180,3 +212,19 @@ class TestTenantShedding:
         session.query("SELECT COUNT(*) FROM t")
         assert accountant.in_use["t"] == 0
         assert accountant.peak["t"] > 0
+
+
+class TestSessionPragmasInterpreted(Interpreted, TestSessionPragmas):
+    pass
+
+
+class TestErrorSurfaceInterpreted(Interpreted, TestErrorSurface):
+    pass
+
+
+class TestTransactionAbortInterpreted(Interpreted, TestTransactionAbort):
+    pass
+
+
+class TestTenantSheddingInterpreted(Interpreted, TestTenantShedding):
+    pass

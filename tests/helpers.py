@@ -69,3 +69,16 @@ def assert_same_rows(actual, expected, context="", ordered=False):
         parts.append("unexpected rows: {0}".format(
             sorted(extra.elements())[:10]))
     raise AssertionError("row multisets differ; " + "; ".join(parts))
+
+
+def query_interpreted(db, sql, **kwargs):
+    """``db.query(sql)`` on the MAL interpreter (``SET compile =
+    false``), the reference engine; the database's setting is restored
+    afterwards."""
+    previous = db.default_compile
+    db.execute("SET compile = false")
+    try:
+        return db.query(sql, **kwargs)
+    finally:
+        db.execute("SET compile = {0}".format(
+            "true" if previous else "false"))

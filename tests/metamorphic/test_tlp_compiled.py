@@ -1,7 +1,8 @@
 """TLP metamorphic oracle over the plan-fragment compiler.
 
 The partition identity Q(p) ⊎ Q(NOT p) ⊎ Q(p IS NULL) == Q(true) is
-checked with every leg running ``compile=True`` — the three WHERE
+checked with every leg running compiled (``SET compile = true`` on
+every pipeline, cracking and recycling included) — the three WHERE
 variants of one predicate normalize to *different* plan shapes (the
 NOT / IS NULL structure is structural), while the same variant across
 predicates of one template normalizes to the *same* shape with
@@ -22,7 +23,7 @@ from collections import Counter
 import pytest
 
 from repro.sql.database import Database
-from tests.helpers import normalize_row
+from tests.helpers import normalize_row, query_interpreted
 from tests.oracle.generator import QueryGenerator
 
 SEED_BASE = int(os.environ.get("COMPILE_SEED", "0"))
@@ -47,23 +48,22 @@ def _multiset(rows):
 def _check_partition(db, table, predicate, label):
     cols = ", ".join(table.column_names)
     whole = _multiset(db.query(
-        "SELECT {0} FROM {1}".format(cols, table.name), compile=True))
+        "SELECT {0} FROM {1}".format(cols, table.name)))
     part = Counter()
     for variant in ("({0})", "NOT ({0})", "({0}) IS NULL"):
         where = variant.format(predicate)
         part += _multiset(db.query(
             "SELECT {0} FROM {1} WHERE {2}".format(
-                cols, table.name, where), compile=True))
+                cols, table.name, where)))
     assert part == whole, (
         "{0}: compiled TLP partitions of p={1!r} do not rebuild the "
         "table (missing {2}, extra {3})".format(
             label, predicate, list((whole - part).elements())[:5],
             list((part - whole).elements())[:5]))
-    total = db.query("SELECT count(*) FROM {0}".format(table.name),
-                     compile=True)[0][0]
+    total = db.query("SELECT count(*) FROM {0}".format(table.name))[0][0]
     split = sum(db.query(
         "SELECT count(*) FROM {0} WHERE {1}".format(
-            table.name, variant.format(predicate)), compile=True)[0][0]
+            table.name, variant.format(predicate)))[0][0]
         for variant in ("({0})", "NOT ({0})", "({0}) IS NULL"))
     assert split == total, \
         "{0}: compiled count(*) partitions of p={1!r} sum to {2}, " \
@@ -75,6 +75,7 @@ def _run_band(seed):
     db = _make_database(seed)
     for statement in generator.setup_statements():
         db.execute(statement)
+    db.execute("SET compile = true")
     for t_index, table in enumerate(generator.tables):
         for i in range(PREDICATES_PER_TABLE):
             predicate = generator.gen_predicate(
@@ -109,28 +110,28 @@ def test_same_shape_different_constants_do_not_share_results():
     first = "SELECT count(*) FROM p WHERE k > 50"
     second = "SELECT count(*) FROM p WHERE k > 150"
 
-    a = db.query(first, compile=True)
+    a = db.query(first)
     stats = db.plan_compiler.counters()
     assert stats["kernel_cache_misses"] == 1
     assert stats["kernel_cache_hits"] == 0
 
-    b = db.query(second, compile=True)
+    b = db.query(second)
     stats = db.plan_compiler.counters()
     assert stats["kernel_cache_misses"] == 1, \
         "same-shape query recompiled instead of hitting the cache"
     assert stats["kernel_cache_hits"] == 1
 
-    assert a == db.query(first)
-    assert b == db.query(second)
+    assert a == query_interpreted(db, first)
+    assert b == query_interpreted(db, second)
     assert a == [(149,)] and b == [(49,)]
 
     # Same shape again with a fresh constant, interleaved both ways:
     # results stay independent whichever entry is warm.
     third = "SELECT count(*) FROM p WHERE k > 0"
-    c = db.query(third, compile=True)
+    c = db.query(third)
     assert c == [(199,)]
-    assert db.query(first, compile=True) == a
-    assert db.query(second, compile=True) == b
+    assert db.query(first) == a
+    assert db.query(second) == b
 
 
 def test_string_constants_are_parameterized_too():
@@ -141,8 +142,8 @@ def test_string_constants_are_parameterized_too():
     db.execute("CREATE TABLE s (k INTEGER, name TEXT)")
     db.execute("INSERT INTO s VALUES (1, 'ann'), (2, 'bob'), "
                "(3, 'ann'), (4, 'cal'), (5, 'bob'), (6, 'ann')")
-    a = db.query("SELECT k FROM s WHERE name = 'ann'", compile=True)
-    b = db.query("SELECT k FROM s WHERE name = 'bob'", compile=True)
+    a = db.query("SELECT k FROM s WHERE name = 'ann'")
+    b = db.query("SELECT k FROM s WHERE name = 'bob'")
     stats = db.plan_compiler.counters()
     assert stats["kernel_cache_hits"] >= 1
     assert sorted(a) == [(1,), (3,), (6,)]

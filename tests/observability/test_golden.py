@@ -8,6 +8,11 @@ counters stripped — against a checked-in JSON file under
 different morsel split, lost instrumentation) fails here; a hardware
 -profile retune does not.
 
+The ``serial_*`` and ``parallel_*`` goldens are the operator-level
+trace contract, so they pin the interpreter (``SET compile = false``);
+the ``compiled_*`` goldens pin the fragment spans of the default
+engine's fused kernels.
+
 Regenerate after an intentional change with::
 
     PYTHONPATH=src python -m pytest tests/observability/test_golden.py \
@@ -46,8 +51,9 @@ def normalize(node):
     }
 
 
-def _dataset():
+def _dataset(engine):
     db = Database()
+    db.execute(engine)
     db.execute("CREATE TABLE t (k BIGINT, v BIGINT)")
     db.execute("INSERT INTO t VALUES " + ", ".join(
         "({0}, {1})".format(i % 7, (i * 37) % 100) for i in range(200)))
@@ -57,26 +63,40 @@ def _dataset():
     return db
 
 
+INTERPRETER = "SET compile = false"
+KERNELS = "SET compile = true"
+
+#: case -> (sql, workers, engine pragma)
 CASES = {
     "serial_filter_projection":
-        ("SELECT k, v FROM t WHERE v < 50", 1),
+        ("SELECT k, v FROM t WHERE v < 50", 1, INTERPRETER),
     "serial_scalar_aggregate":
-        ("SELECT count(*) FROM t", 1),
+        ("SELECT count(*) FROM t", 1, INTERPRETER),
     "serial_group_by":
-        ("SELECT v, sum(k) s FROM t GROUP BY v", 1),
+        ("SELECT v, sum(k) s FROM t GROUP BY v", 1, INTERPRETER),
     "serial_join":
-        ("SELECT t.v, u.w FROM t JOIN u ON t.k = u.k WHERE u.w < 30", 1),
+        ("SELECT t.v, u.w FROM t JOIN u ON t.k = u.k WHERE u.w < 30", 1,
+         INTERPRETER),
     "parallel_filter_projection":
-        ("SELECT k, v FROM t WHERE v < 50", 2),
+        ("SELECT k, v FROM t WHERE v < 50", 2, INTERPRETER),
     "parallel_group_by":
-        ("SELECT v, sum(k) s FROM t GROUP BY v", 2),
+        ("SELECT v, sum(k) s FROM t GROUP BY v", 2, INTERPRETER),
+    "compiled_filter_projection":
+        ("SELECT k, v FROM t WHERE v < 50", 1, KERNELS),
+    "compiled_group_by":
+        ("SELECT v, sum(k) s FROM t GROUP BY v", 1, KERNELS),
+    "compiled_join":
+        ("SELECT t.v, u.w FROM t JOIN u ON t.k = u.k WHERE u.w < 30", 1,
+         KERNELS),
+    "compiled_parallel_group_by":
+        ("SELECT v, sum(k) s FROM t GROUP BY v", 2, KERNELS),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_matches_golden(case, request):
-    sql, workers = CASES[case]
-    profile = _dataset().profile(sql, workers=workers)
+    sql, workers, engine = CASES[case]
+    profile = _dataset(engine).profile(sql, workers=workers)
     if workers > 1:
         assert profile.root.attrs["engine"] == "parallel", \
             "expected a parallel plan for {0!r}".format(sql)

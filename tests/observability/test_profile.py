@@ -65,6 +65,7 @@ def test_serial_profile_counters_sum_exactly(db):
 
 
 def test_serial_profile_span_tree_shape(db):
+    db.execute("SET compile = false")  # operator spans: the interpreter
     profile = db.profile("SELECT k, v FROM t WHERE v < 50")
     root = profile.root
     assert root.name == "query"
@@ -79,6 +80,7 @@ def test_serial_profile_span_tree_shape(db):
 
 
 def test_profile_text_renders_operator_tree(db):
+    db.execute("SET compile = false")  # operator spans: the interpreter
     text = db.profile("SELECT k, v FROM t WHERE v < 50").text()
     assert text.splitlines()[0].startswith("query [engine=serial]")
     assert "sql.bind" in text
@@ -222,9 +224,15 @@ def test_profile_rejects_bad_worker_count(db):
 
 # -- session tracer -----------------------------------------------------------
 
-def test_session_tracer_records_statement_spans():
+def _session_traced(*pragmas):
+    """The session trace's SELECT statement span, after checking the
+    statement spans of a CREATE, an INSERT and that SELECT run once
+    ``pragmas`` are set (their own spans are dropped)."""
     tracer = Tracer()
     db = Database(wal=WriteAheadLog(), tracer=tracer)
+    for pragma in pragmas:
+        db.execute(pragma)
+    tracer.roots.clear()
     db.execute("CREATE TABLE t (k BIGINT)")
     db.execute("INSERT INTO t VALUES (1), (2), (3)")
     assert db.query("SELECT k FROM t WHERE k > 1") == [(2,), (3,)]
@@ -236,8 +244,19 @@ def test_session_tracer_records_statement_spans():
     logged = sum(s.inclusive("wal_bytes") for s in tracer.roots)
     assert tracer.roots[1].inclusive("wal_bytes") > 0
     assert logged == db.wal.size_bytes
+    return tracer.roots[2]
+
+
+def test_session_tracer_records_statement_spans():
+    select = _session_traced("SET compile = false")
     # The interpreter nests operator spans under the SELECT statement.
-    assert tracer.roots[2].find_all(kind="operator")
+    assert select.find_all(kind="operator")
+
+
+def test_session_tracer_records_fragment_spans_under_kernels():
+    select = _session_traced()
+    # Compiled kernels nest one span per fused fragment instead.
+    assert select.find_all(kind="fragment")
 
 
 def test_recycler_hits_are_counted():

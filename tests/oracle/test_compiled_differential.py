@@ -1,7 +1,8 @@
 """Differential testing of the plan-fragment compiler (repro.compile).
 
 Every generated query runs three ways against the same data —
-interpreter, compiled (``compile=True``), and compiled+parallel — and
+interpreter (``SET compile = false``), compiled (``SET compile =
+true``), and compiled+parallel — and
 all answers must agree with the row-at-a-time reference oracle as
 multisets.  The band rotates optimizer pipelines with the seed like the
 main differential band, so compiled kernels are exercised on cracked
@@ -51,12 +52,14 @@ def _run_band(seed):
         label = "seed={0} pipeline={1} query#{2}: {3}".format(
             seed, pipeline, i, sql)
         expected = oracle.execute(parse_sql(sql))
+        db.execute("SET compile = false")
         interpreted = db.query(sql)
         assert_same_rows(interpreted, expected,
                          context="interpreted " + label)
-        compiled = db.query(sql, compile=True)
+        db.execute("SET compile = true")
+        compiled = db.query(sql)
         assert_same_rows(compiled, expected, context="compiled " + label)
-        parallel = db.query(sql, workers=4, compile=True)
+        parallel = db.query(sql, workers=4)
         assert_same_rows(parallel, expected,
                          context="compiled+parallel " + label)
     return db

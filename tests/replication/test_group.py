@@ -149,6 +149,21 @@ class TestReadRouting:
         plain = g.query("SELECT count(*) FROM t")
         assert plain in ([(0,)], [(1,)])
 
+    def test_pragmas_govern_replica_reads(self):
+        g = seeded_group()
+        g.execute("INSERT INTO t VALUES " + ", ".join(
+            "({0}, {1})".format(i, i % 5) for i in range(40)))
+        g.drain()
+        g.execute("SET workers = 4")
+        g.execute("SET compile = false")
+        assert sorted(g.query("SELECT k, v FROM t WHERE v = 3")) == \
+            [(i, 3) for i in range(3, 40, 5)]
+        assert g.stats.reads_replica == 1
+        served = [n for n in g.replicas() if n.db.parallel_runs]
+        assert len(served) == 1
+        assert [(n.db.default_workers, n.db.default_compile)
+                for n in g.nodes] == [(4, False)] * len(g.nodes)
+
 
 class TestCatchUp:
     def test_restarted_replica_catches_up_from_its_lsn(self):

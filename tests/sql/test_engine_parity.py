@@ -1,9 +1,10 @@
 """One statement, one answer, on every engine.
 
-Each statement runs on the serial interpreter, the compiled kernels,
-the morsel engine (``workers=4``), the cracking pipeline and a
-two-shard cluster.  All five must return the same rows — values *and* Python types — or raise the
-same error class, with warnings as errors (as CI's tier-1 runs).  The
+Each statement runs on the serial engine (compiled kernels), the
+interpreter (``SET compile = false``), the morsel engine
+(``workers=4``), the cracking pipeline and a two-shard cluster.  All
+five must return the same rows — values *and* Python types — or raise
+the same error class, with warnings as errors (as CI's tier-1 runs).  The
 cases are the corners where the engines used to differ: aggregates over
 no rows, zero divisors (per row and after aggregation), ORDER BY on an
 alias or under ``*``, HAVING with ORDER BY over aggregates, DISTINCT
@@ -112,11 +113,13 @@ def _load(db, suffix=""):
 @pytest.fixture(scope="module")
 def engines():
     single = _load(Database())
+    interpreted = _load(Database())
+    interpreted.execute("SET compile = false")
     cracked = _load(Database.with_cracking())
     sharded = _load(ShardedDatabase(n_shards=2), " PARTITION BY (k)")
     return {
         "serial": lambda sql: single.execute(sql),
-        "compiled": lambda sql: single.execute(sql, compile=True),
+        "interpreted": lambda sql: interpreted.execute(sql),
         "workers=4": lambda sql: single.execute(sql, workers=4),
         "cracked": lambda sql: cracked.execute(sql),
         "2 shards": lambda sql: sharded.execute(sql),
@@ -156,7 +159,7 @@ def test_limit_without_order_by_keeps_scan_order(engines):
     sql = "SELECT k, a FROM t WHERE a > 5 LIMIT 6"
     runs_before = single.parallel_runs
     want = _answer(runners["serial"], sql, ordered=True)
-    for name in ("compiled", "workers=4"):
+    for name in ("interpreted", "workers=4"):
         assert _answer(runners[name], sql, ordered=True) == want, name
     assert single.parallel_runs == runs_before + 1
 

@@ -54,7 +54,9 @@ def test_single_node(sql, mode):
         rows = db.query(sql, workers=4)
         assert db.parallel_runs == 1
     else:
-        rows = db.query(sql, compile=mode == "compiled")
+        db.execute("SET compile = {0}".format(
+            "true" if mode == "compiled" else "false"))
+        rows = db.query(sql)
     assert _nil_as_none(rows) == EXPECTED[sql][0]
 
 

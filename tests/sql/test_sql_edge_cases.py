@@ -88,15 +88,18 @@ class TestGroupingEdges:
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("engine", [{}, {"compile": True}, {"workers": 2}],
+@pytest.mark.parametrize("engine", ["SET compile = false",
+                                    "SET compile = true",
+                                    "SET workers = 2"],
                          ids=["serial", "compiled", "workers=2"])
 class TestGroupedAggregatesOverNil:
     """Grouped aggregates skip nils, stay exact for integers, compare
     strings by value, and give NULL for a group with no value."""
 
     @pytest.fixture
-    def nil_db(self):
+    def nil_db(self, engine):
         d = Database()
+        d.execute(engine)
         d.execute("CREATE TABLE t (g INT, a INT, v DOUBLE, b BIGINT, "
                   "s VARCHAR(8))")
         d.execute("INSERT INTO t VALUES "
@@ -108,25 +111,24 @@ class TestGroupedAggregatesOverNil:
 
     def test_integer_column(self, nil_db, engine):
         assert nil_db.query("SELECT g, min(a), max(a), count(a), sum(a), "
-                            "avg(a) FROM t GROUP BY g", **engine) == \
+                            "avg(a) FROM t GROUP BY g") == \
             [(0, 5, 7, 2, 12, 6.0), (1, None, None, 0, None, None)]
 
     def test_double_column(self, nil_db, engine):
         assert nil_db.query("SELECT g, min(v), max(v), count(v), sum(v) "
-                            "FROM t GROUP BY g", **engine) == \
+                            "FROM t GROUP BY g") == \
             [(0, 1.5, 2.5, 2, 4.0), (1, None, None, 0, None)]
         # Every value nil: no group has one.
         assert nil_db.query("SELECT g, sum(v), min(v) FROM t WHERE g = 1 "
-                            "GROUP BY g", **engine) == [(1, None, None)]
+                            "GROUP BY g") == [(1, None, None)]
 
     def test_bigint_is_exact(self, nil_db, engine):
-        assert nil_db.query("SELECT g, max(b), sum(b) FROM t GROUP BY g",
-                            **engine) == \
-            [(0, 2 ** 53 + 1, 2 ** 53 + 2), (1, None, None)]
+        assert nil_db.query("SELECT g, max(b), sum(b) FROM t GROUP BY g") \
+            == [(0, 2 ** 53 + 1, 2 ** 53 + 2), (1, None, None)]
 
     def test_varchar_column(self, nil_db, engine):
         assert nil_db.query("SELECT g, min(s), max(s), count(s) FROM t "
-                            "GROUP BY g", **engine) == \
+                            "GROUP BY g") == \
             [(0, "apple", "pear", 2), (1, None, None, 0)]
 
 

@@ -278,12 +278,12 @@ def test_transaction_statements_reuse_plans(db, forbid_planning):
 
 def test_exact_repeat_runs_the_very_same_program(db, monkeypatch):
     seen = []
-    run = Database._run_compiled
+    run = Database._run_program
 
     def spy(self, program, *args, **kwargs):
         seen.append(program)
         return run(self, program, *args, **kwargs)
-    monkeypatch.setattr(Database, "_run_compiled", spy)
+    monkeypatch.setattr(Database, "_run_program", spy)
     for sql in ("SELECT v FROM t WHERE k = 7", "SELECT v FROM t WHERE k = 8",
                 "SELECT v FROM t WHERE k = 7"):
         db.execute(sql)
