@@ -501,11 +501,10 @@ class ReplicationGroup:
             if lsn != node.last_lsn + 1:
                 break  # out-of-order remainder; await retransmission
             try:
-                node.log.append(record)
+                node.db._write(record)
             except CrashError:
                 self.mark_dead(node)
                 return
-            node.db._replay_record(record)
 
     def _receive_ack(self, node, message):
         _, term, lsn, src_id = message

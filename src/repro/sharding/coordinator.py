@@ -563,9 +563,10 @@ class ShardedDatabase:
             raise ValueError(
                 "name {0!r} is already a materialized view".format(
                     statement.name))
+        self.schema.check_new(statement.name)
+        self._broadcast(("create", statement.name), statement)
         self.schema.register(statement.name, statement.columns,
                              partition_by=statement.partition_by)
-        self._broadcast(("create", statement.name), statement)
         return None
 
     def _anchor_database(self):

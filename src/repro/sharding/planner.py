@@ -63,9 +63,12 @@ class ShardSchema:
     def __init__(self):
         self.tables = {}
 
-    def register(self, name, columns, partition_by=None):
+    def check_new(self, name):
         if name in self.tables:
             raise ShardPlanError("table {0!r} already exists".format(name))
+
+    def register(self, name, columns, partition_by=None):
+        self.check_new(name)
         self.tables[name] = TableInfo(name, [tuple(c) for c in columns],
                                       partition_by)
         return self.tables[name]

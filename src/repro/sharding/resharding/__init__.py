@@ -364,7 +364,7 @@ class Resharding:
                   for op in ops]
         record = {"kind": "stage", "ops": staged, "reshard": stamp}
         co._send(self.link_out, ("reshard", stamp), _payload_size(record))
-        db.wal.append(record)
+        db._write(record)
         self._stage_ops(staged)
         try:
             co._send(self.link_in, ("reshard-ack", stamp), 16)
@@ -382,11 +382,8 @@ class Resharding:
         db = self._target_db()
         ops = [{"table": name, "appends": rows, "deletes": []}
                for name, rows in sorted(self._stage.items()) if rows]
-        record = {"kind": "commit", "ops": ops,
-                  "reshard": {"mid": self.mid, "kind": "install"}}
-        db.wal.append(record)
-        db._apply_ops(ops)
-        db._bump_commit()
+        db._write({"kind": "commit", "ops": ops,
+                   "reshard": {"mid": self.mid, "kind": "install"}})
         self._installed = True
 
     # -- delta translation -----------------------------------------------------
@@ -631,10 +628,8 @@ class Resharding:
         if not ops:
             return
         co.faults.inject("reshard.purge")
-        db.wal.append({"kind": "commit", "ops": ops,
-                       "reshard": {"mid": self.mid, "kind": "purge"}})
-        db._apply_ops(ops)
-        db._bump_commit()
+        db._write({"kind": "commit", "ops": ops,
+                   "reshard": {"mid": self.mid, "kind": "purge"}})
         self.stats.purged_rows += purged
 
     def __repr__(self):

@@ -178,7 +178,8 @@ class ShardedTransaction:
             txn = self._txn(shard_id)
             table = txn.get(statement.table)
             db = self._co.shards[shard_id].database
-            new_rows = db._eval_update_rows(table, statement, view=txn)
+            new_rows = table.checked_rows(
+                db._eval_update_rows(table, statement, view=txn))
             oids = txn._matched_oids(statement)
             dead = txn._deleted.setdefault(statement.table, set())
             dead.update(oids)
@@ -324,6 +325,7 @@ class ShardedTransaction:
                 txn._db.wal.append({"kind": "decide", "xid": self.xid,
                                     "outcome": "commit"})
                 txn._publish(ops)
+                txn.commit_lsn = txn._db._bump_commit()
                 txn.closed = True
                 txn.outcome = "committed"
             except CrashError as crash:

@@ -20,6 +20,16 @@ from repro.core.atoms import OID, atom_by_name
 from repro.core.bat import BAT
 
 
+def _converted(atom, values):
+    """``atom.array(values)``, or None when it refuses a value or one
+    is not a scalar."""
+    try:
+        array = atom.array(values)
+    except (TypeError, ValueError, OverflowError, RuntimeWarning):
+        return None
+    return array if array.shape == (len(values),) else None
+
+
 class Table:
     """One relational table, vertically decomposed into BATs."""
 
@@ -30,31 +40,35 @@ class Table:
         ``PARTITION BY`` DDL clause); a single-node database stores it
         as inert metadata, the sharding layer routes by it.
         """
-        if not columns:
-            raise ValueError("a table needs at least one column")
-        if partition_by is not None and \
-                partition_by not in [c for c, _ in columns]:
-            raise ValueError(
-                "PARTITION BY names unknown column {0!r}".format(
-                    partition_by))
         self.name = name
         self.partition_by = partition_by
-        self.column_names = []
-        self.atoms = {}
-        self.columns = {}
-        for col_name, type_name in columns:
-            if col_name in self.atoms:
-                raise ValueError("duplicate column {0!r}".format(col_name))
-            atom = atom_by_name(type_name)
-            self.column_names.append(col_name)
-            self.atoms[col_name] = atom
-            self.columns[col_name] = BAT.from_values([], atom=atom)
+        self.atoms = self.column_atoms(columns, partition_by)
+        self.column_names = list(self.atoms)
+        self.columns = {col_name: BAT.from_values([], atom=atom)
+                        for col_name, atom in self.atoms.items()}
         self.base_count = 0
         self.deleted = set()
         self.version = 0
         self.delete_log = []        # [(version after delete, frozenset oids)]
         self._delete_log_floor = 0  # snapshots older than this can't be answered
         self._crackers = {}
+
+    @staticmethod
+    def column_atoms(columns, partition_by=None):
+        """``{column name: atom}`` in column order: the one check of a
+        definition's columns (KeyError for an unknown type)."""
+        if not columns:
+            raise ValueError("a table needs at least one column")
+        atoms = {}
+        for col_name, type_name in columns:
+            if col_name in atoms:
+                raise ValueError("duplicate column {0!r}".format(col_name))
+            atoms[col_name] = atom_by_name(type_name)
+        if partition_by is not None and partition_by not in atoms:
+            raise ValueError(
+                "PARTITION BY names unknown column {0!r}".format(
+                    partition_by))
+        return atoms
 
     # -- geometry -----------------------------------------------------------
 
@@ -114,33 +128,61 @@ class Table:
 
     # -- writes ----------------------------------------------------------------
 
-    def append_rows(self, rows, columns=None):
-        """Append full rows; unmentioned columns are rejected.
+    def checked_rows(self, rows, columns=None):
+        """``rows`` (in ``columns`` order, default the table's) as
+        lists in table column order, every value checked by the very
+        conversion :meth:`append_rows` applies: the pre-log row check."""
+        by_column, _ = self._column_values(rows, columns)
+        return list(map(list, zip(*by_column)))
 
-        ``rows`` is a list of value tuples in ``columns`` order (defaults
-        to the table's column order).  Returns the oids assigned.
-        """
+    def append_rows(self, rows, columns=None):
+        """Append full rows (in ``columns`` order, default the
+        table's); returns the oids assigned.  Every column converts
+        before any grows, so a rejected row leaves the table as is."""
+        _, values = self._column_values(rows, columns)
+        first = self.physical_count
+        for name, column_values in zip(self.column_names, values):
+            self.columns[name].append_values(column_values)
+            cracker = self._crackers.get(name)
+            if cracker is not None:
+                cracker.insert(column_values)
+        self.version += 1
+        return list(range(first, first + len(rows)))
+
+    def _column_values(self, rows, columns):
+        """Per table column, its values as given and as
+        ``append_values`` takes them (for VARCHAR the str-or-None values,
+        else ``atom.array`` with None as nil).  Raises ValueError for a
+        missing column, a wrong arity or the first value refused."""
         order = columns or self.column_names
-        if sorted(order) != sorted(self.column_names):
+        if order is not self.column_names and \
+                sorted(order) != sorted(self.column_names):
             raise ValueError(
                 "INSERT must provide every column of {0!r}".format(self.name))
         for row in rows:
             if len(row) != len(order):
                 raise ValueError("row arity mismatch: {0!r}".format(row))
-        first = self.physical_count
-        by_column = {name: [row[i] for row in rows]
-                     for i, name in enumerate(order)}
-        for name in self.column_names:
+        by_position = list(zip(*rows)) or [()] * len(order)
+        by_column = [by_position[order.index(c)] for c in self.column_names]
+        out = []
+        for name, values in zip(self.column_names, by_column):
             atom = self.atoms[name]
-            values = by_column[name]
-            if not atom.varsized:
+            if atom.varsized:
+                refused = [v for v in values
+                           if v is not None and not isinstance(v, str)]
+            else:
                 values = [atom.nil if v is None else v for v in values]
-            self.columns[name].append_values(values)
-            cracker = self._crackers.get(name)
-            if cracker is not None:
-                cracker.insert(values)
-        self.version += 1
-        return list(range(first, first + len(rows)))
+                converted = _converted(atom, values)
+                refused = [] if converted is not None else [
+                    v for v in values if _converted(atom, [v]) is None
+                ] or [values]
+                values = converted
+            if refused:
+                raise ValueError(
+                    "cannot store {0!r} in column {1}.{2} ({3})".format(
+                        refused[0], self.name, name, atom.name))
+            out.append(values)
+        return by_column, out
 
     def delete_oids(self, oids):
         """Mark rows deleted (the deleted-positions BAT of Section 3.2)."""
@@ -252,9 +294,14 @@ class Catalog:
         self._join_indices = {}   # key -> declared
         self._join_cache = {}     # key -> (fk_ver, pk_ver, BAT)
 
-    def create_table(self, name, columns, partition_by=None):
+    def check_new_table(self, name, columns, partition_by=None):
+        """Raise as :meth:`create_table` would, creating nothing."""
         if name in self.tables:
             raise ValueError("table {0!r} already exists".format(name))
+        Table.column_atoms(columns, partition_by)
+
+    def create_table(self, name, columns, partition_by=None):
+        self.check_new_table(name, columns, partition_by)
         table = Table(name, columns, partition_by=partition_by)
         self.tables[name] = table
         return table

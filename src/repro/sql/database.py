@@ -111,11 +111,11 @@ class Database:
         :mod:`repro.parallel`).  None (the default) runs parallel plans
         without cache simulation.
     wal:
-        Optional :class:`~repro.wal.WriteAheadLog`.  When given, every
-        write (DDL, autocommit DML, ``Transaction.commit``) appends a
-        checksummed logical record *before* touching the catalog, and
-        :meth:`recover` rebuilds the catalog by replaying the log —
-        complete records only, torn tails discarded.
+        Optional :class:`~repro.wal.WriteAheadLog`.  Every write is
+        checked (a rejected statement logs nothing), appended as a
+        checksummed logical record, then applied — by the replay code
+        itself, except a transaction's publish.  :meth:`recover`
+        replays the log: complete records only, torn tails discarded.
     faults:
         Optional :class:`~repro.faults.FaultInjector` threaded through
         the commit path (``commit.validate`` / ``commit.publish`` /
@@ -195,7 +195,7 @@ class Database:
         # coordinator's decision log after recovery.
         self._pending_prepares = {}
         # Monotone commit sequence number, bumped once per published
-        # commit (autocommit DML, Transaction.commit, replay).  The
+        # commit, live or replayed (a no-op write takes none).  The
         # session layer stamps snapshots and commits with it.
         self.commit_seq = 0
         # Materialized views (repro.views): maintained incrementally
@@ -302,64 +302,45 @@ class Database:
                 "Database.execute is autocommit-only".format(
                     statement_kind(statement)))
         if isinstance(statement, CreateTable):
-            if self.wal is not None:
-                record = {"kind": "create", "table": statement.name,
-                          "columns": [list(c) for c in statement.columns]}
-                if statement.partition_by is not None:
-                    record["partition_by"] = statement.partition_by
-                self.wal.append(record)
-            self.catalog.create_table(statement.name, statement.columns,
-                                      partition_by=statement.partition_by)
-            self._schema_changed()
+            self.catalog.check_new_table(statement.name, statement.columns,
+                                         statement.partition_by)
+            record = {"kind": "create", "table": statement.name,
+                      "columns": [list(c) for c in statement.columns]}
+            if statement.partition_by is not None:
+                record["partition_by"] = statement.partition_by
+            self._write(record)
             return None
         if isinstance(statement, CreateMaterializedView):
-            # Classify (and reject) *before* the WAL append, so a bad
-            # definition never reaches the log.
             self.views.validate(statement.name, statement.select)
-            if self.wal is not None:
-                sql_text = statement.select_sql or \
-                    render_select(statement.select)
-                self.wal.append({"kind": "create_view",
-                                 "name": statement.name,
-                                 "sql": sql_text})
-            self.views.create(statement.name, statement.select)
-            self._schema_changed()
+            self._write({"kind": "create_view", "name": statement.name,
+                         "sql": statement.select_sql
+                         or render_select(statement.select)})
             return None
         if isinstance(statement, DropMaterializedView):
             if not self.views.is_view(statement.name):
                 raise KeyError(
                     "no materialized view {0!r}".format(statement.name))
-            if self.wal is not None:
-                self.wal.append({"kind": "drop_view",
-                                 "name": statement.name})
-            self.views.drop(statement.name)
-            self._schema_changed()
+            self._write({"kind": "drop_view", "name": statement.name})
             return None
+        if not isinstance(statement, (Insert, Delete, Update)):
+            raise TypeError("unsupported statement {0!r}".format(statement))
+        self._reject_view_dml(statement.table)
+        table = self.catalog.get(statement.table)
+        oids = []
         if isinstance(statement, Insert):
-            self._reject_view_dml(statement.table)
-            table = self.catalog.get(statement.table)
-            rows = self._normalized_rows(table, statement.rows,
-                                         statement.columns)
-            ops = [{"table": statement.table, "appends": rows,
-                    "deletes": []}]
-            self._log_commit(ops)
-            self._apply_ops(ops)
-            self._bump_commit()
-            return len(statement.rows)
-        if isinstance(statement, Delete):
-            self._reject_view_dml(statement.table)
-            self.catalog.get(statement.table)
+            rows = table.checked_rows(statement.rows, statement.columns)
+        else:
+            rows = table.checked_rows(self._eval_update_rows(
+                table, statement, view=self.catalog, context=context)) \
+                if isinstance(statement, Update) else []
             oids = self._eval_where(statement, view=self.catalog,
                                     context=context)
-            ops = [{"table": statement.table, "appends": [],
-                    "deletes": sorted(int(o) for o in oids)}]
-            self._log_commit(ops)
-            deleted = self._apply_ops(ops)
-            self._bump_commit()
-            return deleted
-        if isinstance(statement, Update):
-            return self._apply_update(statement, context=context)
-        raise TypeError("unsupported statement {0!r}".format(statement))
+        if not rows and not oids:
+            return 0  # changes nothing: logs nothing, takes no number
+        deleted = self._write({"kind": "commit", "ops": [
+            {"table": table.name, "appends": rows,
+             "deletes": sorted(int(o) for o in oids)}]})
+        return deleted if oids else len(rows)
 
     def query(self, sql, workers=None):
         """Shorthand: execute a SELECT and return its rows."""
@@ -635,40 +616,16 @@ class Database:
                 "materialized view {0!r} is read-only; modify its base "
                 "tables instead".format(table_name))
 
-    def _apply_update(self, statement, context=None):
-        self._reject_view_dml(statement.table)
-        table = self.catalog.get(statement.table)
-        new_rows = self._eval_update_rows(table, statement,
-                                          view=self.catalog,
-                                          context=context)
-        oids = self._eval_where(statement, view=self.catalog,
-                                context=context)
-        ops = [{"table": statement.table,
-                "appends": [list(r) for r in new_rows],
-                "deletes": sorted(int(o) for o in oids)}]
-        self._log_commit(ops)
-        self._apply_ops(ops)
-        self._bump_commit()
-        return len(oids)
+    # -- the write path: check, log, replay ----------------------------------
 
-    # -- durability: logical ops, write-ahead logging, recovery --------------
-
-    @staticmethod
-    def _normalized_rows(table, rows, columns):
-        """Insert rows reordered to the table's column order (the
-        canonical shape of a logical append record)."""
-        order = columns or table.column_names
-        if sorted(order) != sorted(table.column_names):
-            raise ValueError(
-                "INSERT must provide every column of {0!r}".format(
-                    table.name))
-        reorder = [order.index(c) for c in table.column_names]
-        out = []
-        for row in rows:
-            if len(row) != len(order):
-                raise ValueError("row arity mismatch: {0!r}".format(row))
-            out.append([row[i] for i in reorder])
-        return out
+    def _write(self, record):
+        """Log ``record`` (when there is a WAL), then apply it with
+        :meth:`_replay_record`, so live state is what replay rebuilds.
+        Callers check their statement completely first: a rejected
+        statement never reaches the log."""
+        if self.wal is not None:
+            self.wal.append(record)
+        return self._replay_record(record)
 
     def _bump_commit(self):
         """Advance and return the commit sequence number (one commit
@@ -676,23 +633,17 @@ class Database:
         self.commit_seq += 1
         return self.commit_seq
 
-    def _log_commit(self, ops):
-        """Write-ahead: make the logical ops durable before applying."""
-        ops = [op for op in ops if op["appends"] or op["deletes"]]
-        if ops and self.wal is not None:
-            self.wal.append({"kind": "commit", "ops": ops})
-
     def _apply_ops(self, ops):
-        """Publish logical ops to the catalog; the one code path shared
-        by live execution and WAL replay, so a recovered catalog is
-        bit-identical to one that never crashed.  Returns the number of
+        """Publish logical ops to the catalog: the apply step of a
+        ``commit`` (and a committed ``decide``) record in
+        :meth:`_replay_record`, and of a transaction's (or 2PC
+        participant's) table-by-table publish.  Returns the number of
         rows (freshly) deleted.
 
         Materialized views watching a table get the op's delta —
         appended and (freshly) removed rows — folded in right here,
-        atomically with the base-table change, so every caller of this
-        path (autocommit, transaction publish, replay, replication
-        apply, 2PC decide, resharding install) keeps views consistent
+        atomically with the base-table change, so every write (live,
+        recovered, replicated, 2PC, resharding) keeps views consistent
         without knowing they exist.
         """
         deleted = 0
@@ -720,16 +671,17 @@ class Database:
         return deleted
 
     def _replay_record(self, record):
-        """Apply one logical WAL record to the live catalog.
-
-        The single dispatch point shared by :meth:`recover` and
-        replication apply (a replica replays the primary's shipped
-        records through here), so a replayed catalog is bit-identical
-        to one built by live execution.  Unknown keys on the record
-        (e.g. the replication layer's ``term``/``lsn`` stamps) are
-        ignored.
+        """Apply one logical WAL record to the live catalog: the one
+        dispatch point of live writes (:meth:`_write`), :meth:`recover`
+        and replica apply.  Returns a ``commit``'s deleted-row count.
+        Unknown keys on the record (e.g. the replication layer's
+        ``term``/``lsn`` stamps) are ignored.
         """
         kind = record.get("kind")
+        if kind == "commit":
+            deleted = self._apply_ops(record["ops"])
+            self._bump_commit()
+            return deleted
         if kind == "create":
             self.catalog.create_table(
                 record["table"],
@@ -746,9 +698,6 @@ class Database:
         elif kind == "drop_view":
             self.views.drop(record["name"])
             self._schema_changed()
-        elif kind == "commit":
-            self._apply_ops(record["ops"])
-            self._bump_commit()
         elif kind == "prepare":
             # Two-phase commit (repro.sharding): the record is durable
             # but undecided; it applies only when a decide-commit
@@ -813,20 +762,13 @@ class Database:
         """Settle in-doubt 2PC participants after recovery.
 
         ``committed_xids``: xids the coordinator's decision log marked
-        committed — their prepared ops are applied (and the decision is
-        re-logged locally so a later replay is self-contained); every
-        other in-doubt xid is presumed aborted.  Returns the number of
-        transactions committed here.
+        committed; every other in-doubt xid is presumed aborted.  Each
+        decision is written as a local ``decide`` record (applying a
+        committed xid's prepared ops).  Returns the number committed.
         """
-        committed = 0
-        for xid in sorted(self._pending_prepares):
-            ops = self._pending_prepares.pop(xid)
-            outcome = "commit" if xid in committed_xids else "abort"
-            if self.wal is not None:
-                self.wal.append({"kind": "decide", "xid": xid,
-                                 "outcome": outcome})
-            if outcome == "commit":
-                self._apply_ops(ops)
-                self._bump_commit()
-                committed += 1
-        return committed
+        decided = sorted(self._pending_prepares)
+        for xid in decided:
+            self._write({"kind": "decide", "xid": xid,
+                         "outcome": "commit" if xid in committed_xids
+                         else "abort"})
+        return sum(1 for xid in decided if xid in committed_xids)

@@ -167,7 +167,8 @@ class Transaction:
         this transaction.
 
         SELECT returns a ResultSet; INSERT/DELETE/UPDATE return the
-        affected row count (buffered until commit); DDL is rejected.
+        affected row count (buffered until commit; a row its table
+        cannot store fails the statement alone); DDL is rejected.
         ``context`` is an optional governance
         :class:`~repro.governance.QueryContext` for this statement: a
         kill fires at a read checkpoint, before anything is buffered —
@@ -192,21 +193,12 @@ class Transaction:
 
     def _buffer_insert(self, statement):
         self._db._reject_view_dml(statement.table)
-        table = self.get(statement.table)
-        order = statement.columns or table.column_names
-        if sorted(order) != sorted(table.column_names):
-            raise ValueError(
-                "INSERT must provide every column of {0!r}".format(
-                    table.name))
-        reorder = [order.index(c) for c in table.column_names]
-        rows = self._appends.setdefault(statement.table, [])
-        for row in statement.rows:
-            if len(row) != len(order):
-                raise ValueError("row arity mismatch: {0!r}".format(row))
-            rows.append(tuple(row[i] for i in reorder))
+        rows = self.get(statement.table).checked_rows(statement.rows,
+                                                      statement.columns)
+        self._appends.setdefault(statement.table, []).extend(rows)
         self._bind_cache = {k: v for k, v in self._bind_cache.items()
                             if k[0] != statement.table}
-        return len(statement.rows)
+        return len(rows)
 
     def _matched_oids(self, statement, context=None):
         return self._db._eval_where(statement, view=self, context=context)
@@ -223,8 +215,8 @@ class Transaction:
     def _buffer_update(self, statement, context=None):
         self._db._reject_view_dml(statement.table)
         table = self.get(statement.table)
-        new_rows = self._db._eval_update_rows(table, statement, view=self,
-                                              context=context)
+        new_rows = table.checked_rows(self._db._eval_update_rows(
+            table, statement, view=self, context=context))
         oids = self._matched_oids(statement, context=context)
         dead = self._deleted.setdefault(statement.table, set())
         dead.update(oids)

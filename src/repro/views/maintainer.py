@@ -4,13 +4,14 @@ The :class:`ViewMaintainer` hangs off one
 :class:`~repro.sql.database.Database` and owns every view's backing
 table (an ordinary catalog table named after the view — SELECTs
 against a view plan as plain scans, snapshots pin it like any other
-table).  The database's ``_apply_ops`` — the single publish path
-shared by autocommit, transaction publication, WAL replay, replication
-apply, 2PC decide and resharding install — hands the maintainer each
-op's delta as appended/removed base rows; the maintainer folds them
-into weighted Z-set batches and applies them to every view watching
-that table, atomically with the commit (the backing table moves inside
-the same ``_apply_ops`` call that moves the base table).
+table).  The database's ``_apply_ops`` — the apply step of every
+commit, from the one write path (``Database._write``: autocommit, WAL
+replay, replica apply, resharding) or a transaction's publish — hands
+the maintainer each op's delta as appended/removed base rows; the
+maintainer folds them into weighted Z-set batches and applies them to
+every view watching that table, atomically with the commit (the
+backing table moves inside the same ``_apply_ops`` call that moves the
+base table).
 
 Maintenance works on whole batches.  Each operator compiles its
 expressions once, when the view is created
