@@ -451,7 +451,8 @@ def _group_sorted(values, gids=None):
         key = np.stack([gids.astype(np.int64),
                         values.astype(np.int64)
                         if values.dtype.kind != "f" else
-                        values.view(np.int64)], axis=1)
+                        values.astype(np.float64, copy=False)
+                        .view(np.int64)], axis=1)
         _, first_pos, out_gids = np.unique(key, axis=0, return_index=True,
                                            return_inverse=True)
     else:
@@ -504,25 +505,6 @@ def sort_multi(*keys_and_flags):
         columns.extend(_sort_columns(key, bool(ascending)))
     # np.lexsort's last column is the primary key.
     return BAT(OID, np.lexsort(columns[::-1]).astype(np.int64))
-
-
-def _nil_first_key(value):
-    """Sort key for one decoded value: None and NaN (the DBL nil) order
-    before everything else, as :func:`sort_multi` places nil."""
-    if value is None or value != value:
-        return (False, 0)
-    return (True, value)
-
-
-def order_rows(rows, keyed, ascending):
-    """:func:`sort_multi` over Python rows: ``keyed(row, i)`` is row's
-    i-th key, ``ascending[i]`` its direction.  Stable successive sorts
-    from the minor key up (a reversed sort keeps ties in input order)."""
-    out = list(rows)
-    for i in range(len(ascending) - 1, -1, -1):
-        out.sort(key=lambda row: _nil_first_key(keyed(row, i)),
-                 reverse=not ascending[i])
-    return out
 
 
 def cand_sort(candidates):

@@ -1,11 +1,12 @@
 """Row-at-a-time SQL operators: one table for every scalar evaluator.
 
 Column kernels (:func:`repro.core.algebra.calc`, generated kernels, the
-vectorized primitives) compute whole arrays with numpy.  What is left
-is computed one value at a time: the ``calc.*`` kernels and constant
-folding, the scalar lines of generated kernels, the split-query finish
-of morsel workers and shards (:mod:`repro.sql.partials`) and view
-maintenance (:mod:`repro.views`).  All of it goes through
+vectorized primitives) compute whole arrays with numpy, and so does
+the split-query finish of morsel workers and shards
+(:mod:`repro.sql.partials`).  What is left is computed one value at a
+time: the ``calc.*`` kernels and constant folding, the scalar lines of
+generated kernels and view maintenance (:mod:`repro.views`, whose
+backing rows evaluate the finish's merge trees one group at a time).  All of it goes through
 :data:`SCALAR_OPS`, so one expression gives one answer whichever
 engine evaluates it:
 

@@ -8,9 +8,11 @@ coordinator makes for its legs.  The part SELECT (under its own key)
 is planned once in the engine's statement cache; each worker then runs
 that optimized plan through the engine's one run path (compiled
 kernels unless ``SET compile = false``) over one row range of the
-first FROM table, and the parts merge in morsel order through
+first FROM table.  A part is the plan's output BATs, never decoded
+rows; the parts merge in morsel order, once, in BAT algebra through
 :func:`~repro.sql.partials.merge_rows` /
-:func:`~repro.sql.partials.merge_aggregates`.
+:func:`~repro.sql.partials.merge_aggregates`, and only the merged
+columns are decoded.
 
 A worker sees the catalog through a read-only range view whose
 ``sql.tid`` of the first table is its morsel's slice of the visible
@@ -38,6 +40,7 @@ from repro.parallel.exchange import Exchange, MorselSource
 from repro.parallel.morsels import MorselScheduler
 from repro.sql.ast import Select
 from repro.sql.compiler import compile_select
+from repro.sql.database import ResultSet
 from repro.sql.partials import (
     Undecomposable, merge_aggregates, merge_rows, split_select,
 )
@@ -55,15 +58,26 @@ class ParallelResult:
     ``failures`` lists every worker death the query survived (the
     morsels were re-dispatched to survivors); ``fell_back`` marks a
     query that lost *all* its workers and was answered by the serial
-    engine instead (names/columns are then empty — the serial
-    ResultSet carries the answer).
+    engine instead (``result`` is then None — the serial ResultSet
+    carries the answer).
+
+    ``result`` is the merged answer: a ResultSet of the merged output
+    BATs, decoded once (None for nil).
     """
 
-    names: list
-    columns: list          # python-value lists, ResultSet-ready
+    result: ResultSet
     worker_set: WorkerSet
     failures: list = field(default_factory=list)
     fell_back: bool = False
+
+    @property
+    def names(self):
+        return self.result.names if self.result is not None else []
+
+    @property
+    def columns(self):
+        """The answer's decoded values, one list per output column."""
+        return self.result.columns if self.result is not None else []
 
     def profile(self):
         """Per-worker/per-operator profile (ExecutionContext shape)."""
@@ -124,7 +138,7 @@ class ParallelSelectExecutor:
                               visible[morsel.start:morsel.stop])
             out = db._run_program(program, view, context=self.governance,
                                   tracer=ctx.tracer, hierarchy=ctx.hierarchy)
-            return db._materialize_result(program, names, out).rows()
+            return db._result_bats(program, out)
 
         def factory(ctx, scheduler, worker):
             return _MorselPart(ctx, scheduler, run, worker=worker,
@@ -139,10 +153,9 @@ class ParallelSelectExecutor:
         parts = sorted(self._collect(exchange, worker_set),
                        key=lambda p: p.index)
         merge = merge_aggregates if plan.aggregate else merge_rows
-        rows = merge(plan, [p.rows for p in parts])
-        columns = [list(column) for column in zip(*rows)] if rows \
-            else [[] for _ in plan.names]
-        return ParallelResult(plan.names, columns, worker_set,
+        result = ResultSet.from_bats(plan.names,
+                                     merge(plan, [p.bats for p in parts]))
+        return ParallelResult(result, worker_set,
                               failures=list(exchange.failures))
 
     def _collect(self, exchange, worker_set):
@@ -181,24 +194,25 @@ class ParallelSelectExecutor:
 
 
 class _Part:
-    """One morsel's part rows: the unit a worker hands the exchange.
-    Zero-width (no ``names``), so the exchange charges no vector
-    traffic for it: the part plan's run has charged its own."""
+    """One morsel's part: the part plan's output BATs, the unit a
+    worker hands the exchange.  Zero-width (no ``names``), so the
+    exchange charges no vector traffic for it: the part plan's run has
+    charged its own."""
 
-    __slots__ = ("index", "rows")
+    __slots__ = ("index", "bats")
     names = ()
 
-    def __init__(self, index, rows):
+    def __init__(self, index, bats):
         self.index = index
-        self.rows = rows
+        self.bats = bats
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.bats[0]) if self.bats else 0
 
 
 class _MorselPart(MorselSource):
     """A worker's pipeline: each acquired morsel becomes one
-    :class:`_Part`, the part plan's rows over that row range."""
+    :class:`_Part`, the part plan's output over that row range."""
 
     def __init__(self, context, scheduler, run, worker=0, **kwargs):
         super().__init__(context, scheduler, worker=worker, **kwargs)

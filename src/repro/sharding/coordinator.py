@@ -24,6 +24,7 @@ import os
 import random
 from dataclasses import dataclass
 
+from repro.core.bat import BAT
 from repro.datacyclotron.link import SimulatedLink
 from repro.faults import NO_FAULTS
 from repro.governance.breaker import CircuitBreaker
@@ -100,7 +101,14 @@ class ShardingStats:
 
 
 def _payload_size(payload):
-    """Byte estimate of one link message (its printed form)."""
+    """Byte estimate of one link message: columns (a view's part
+    columns) by their tails' and string heaps' bytes, anything else by
+    its printed form."""
+    if isinstance(payload, list) and payload and \
+            all(isinstance(column, BAT) for column in payload):
+        return sum(column.tail_nbytes +
+                   (column.heap.nbytes if column.heap is not None else 0)
+                   for column in payload)
     return len(repr(payload))
 
 
@@ -661,8 +669,8 @@ class ShardedDatabase:
                                        context)
                 raise
             merge = merge_aggregates if plan.merge.aggregate else merge_rows
-            rows = merge(plan, [r.rows() for r in results])
-            return _rows_result(plan.merge.names, rows)
+            return ResultSet.from_bats(
+                plan.merge.names, merge(plan, [r.bats() for r in results]))
         self.stats.gather += 1
         scratch = self._gather_database(plan, runner, context=context,
                                         hedged=hedged, workers=workers)
@@ -676,7 +684,7 @@ class ShardedDatabase:
         Per-shard view state composes by kind: complete-per-shard views
         ship from one shard, ``linear`` fragments over a partitioned
         base concatenate across shards, ``aggregate`` views ship their
-        per-group part rows and finish them as a scatter's partials
+        per-group part columns and finish them as a scatter's partials
         (:func:`~repro.sql.partials.merge_aggregates`).
         """
         missing = [ref.name for ref in refs if ref.name not in self.views]
@@ -715,12 +723,14 @@ class ShardedDatabase:
                     .contents(name)))
             return rows
         # Aggregate over a partitioned base: finish the shards' part
-        # rows as a scatter's.
+        # columns as a scatter's.
         parts = [self._rpc(shard_id, ("view_partials", name),
                            lambda s=shard_id: self.shards[s].database
                            .views.partials(name))
                  for shard_id in self.broadcast_shards()]
-        return finish_aggregates(definition.plan, parts)
+        return ResultSet.from_bats(
+            definition.plan.names,
+            finish_aggregates(definition.plan, parts)).rows()
 
     def _gather_database(self, plan, runner, context=None, hedged=False,
                          workers=None):
@@ -799,20 +809,26 @@ class ShardedDatabase:
         if info.partition_by is None:
             return self._broadcast(("insert", statement.table), statement,
                                    context=context)[0]
+        return sum(self._ship(shard_id, ("insert", statement.table), sub,
+                              context=context)
+                   for shard_id, sub in self._split_insert(statement, info))
+
+    def _split_insert(self, statement, info):
+        """A partitioned INSERT as ``(shard id, sub-INSERT)`` pairs in
+        shard order.  Every row is checked against the table's schema
+        first, so a rejected INSERT ships and buffers nothing."""
         order = statement.columns or info.column_names
         if info.partition_by not in order:
             raise ValueError(
                 "INSERT into {0!r} must provide the partition key "
                 "{1!r}".format(statement.table, info.partition_by))
-        key_pos = order.index(info.partition_by)
-        split = self.shard_map.split_rows(statement.rows, key_pos)
-        total = 0
-        for shard_id in sorted(split):
-            sub = Insert(statement.table, split[shard_id],
-                         columns=statement.columns)
-            total += self._ship(shard_id, ("insert", statement.table),
-                                sub, context=context)
-        return total
+        self._anchor_database().catalog.get(statement.table).checked_rows(
+            statement.rows, statement.columns)
+        split = self.shard_map.split_rows(
+            statement.rows, order.index(info.partition_by))
+        return [(shard_id, Insert(statement.table, split[shard_id],
+                                  columns=statement.columns))
+                for shard_id in sorted(split)]
 
     # -- online resharding -------------------------------------------------------
 
@@ -901,9 +917,3 @@ class ShardedDatabase:
         return "ShardedDatabase({0} shards, {1} tables)".format(
             self.n_shards, len(self.schema.tables))
 
-
-def _rows_result(names, rows):
-    """Row tuples -> a columnar ResultSet."""
-    columns = [list(col) for col in zip(*rows)] if rows \
-        else [[] for _ in names]
-    return ResultSet(names, columns)

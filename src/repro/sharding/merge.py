@@ -12,13 +12,13 @@ morsel-engine merges never count as shard merges.
 from repro.sql import partials
 
 
-def merge_rows(plan, shard_rows):
-    """Merge a 'rows' scatter: the shards' rows, concatenated and
-    finished."""
-    return partials.merge_rows(plan.merge, shard_rows)
+def merge_rows(plan, shard_parts):
+    """Merge a 'rows' scatter: the shards' result BATs, concatenated
+    and finished."""
+    return partials.merge_rows(plan.merge, shard_parts)
 
 
-def merge_aggregates(plan, shard_rows):
-    """Merge an 'agg' scatter: the shards' partials, recombined group
-    by group and finished."""
-    return partials.merge_aggregates(plan.merge, shard_rows)
+def merge_aggregates(plan, shard_parts):
+    """Merge an 'agg' scatter: the shards' partial columns,
+    re-aggregated per group and finished."""
+    return partials.merge_aggregates(plan.merge, shard_parts)

@@ -129,19 +129,9 @@ class ShardedTransaction:
             counts = [self._txn(s)._buffer_insert(statement)
                       for s in self._co.broadcast_shards()]
             return counts[0]
-        order = statement.columns or info.column_names
-        if info.partition_by not in order:
-            raise ValueError(
-                "INSERT into {0!r} must provide the partition key "
-                "{1!r}".format(statement.table, info.partition_by))
-        key_pos = order.index(info.partition_by)
-        split = self._co.shard_map.split_rows(statement.rows, key_pos)
-        total = 0
-        for shard_id in sorted(split):
-            sub = Insert(statement.table, split[shard_id],
-                         columns=statement.columns)
-            total += self._txn(shard_id)._buffer_insert(sub)
-        return total
+        return sum(self._txn(shard_id)._buffer_insert(sub)
+                   for shard_id, sub in self._co._split_insert(statement,
+                                                               info))
 
     def _buffer_write(self, statement):
         info = self._co.schema.get(statement.table)

@@ -18,11 +18,8 @@ from repro.sql.ast import (
     BinOp, Column, FuncCall, IsNull, Literal, Select, Star, UnaryOp,
     contains_aggregate, expand_items, split_conjuncts,
 )
-from repro.sql.partials import output_position
+from repro.sql.partials import CMP_TO_CALC, output_position
 from repro.mal.ast import Const, MALProgram, Var
-
-_CMP_TO_CALC = {"=": "==", "<>": "!=", "<": "<", "<=": "<=",
-                ">": ">", ">=": ">="}
 
 
 class SQLCompileError(ValueError):
@@ -92,7 +89,7 @@ class _Context:
 
 def _sargable(expr, ctx):
     """(binding, column, op, Literal) for column-vs-literal comparisons."""
-    if not isinstance(expr, BinOp) or expr.op not in _CMP_TO_CALC:
+    if not isinstance(expr, BinOp) or expr.op not in CMP_TO_CALC:
         return None
     left, right, op = expr.left, expr.right, expr.op
     if isinstance(right, Column) and isinstance(left, Literal):
@@ -220,6 +217,11 @@ class _SelectCompiler:
                 "{0!r} and one of the earlier tables".format(
                     new_binding.alias))
         left_col, right_col = equi
+        atoms = [self.catalog.get(ctx.resolve(c).table).atom(c.name)
+                 for c in equi]
+        if atoms[0].varsized != atoms[1].varsized:
+            raise SQLCompileError("cannot join {0} with {1} in {2!r}".format(
+                atoms[0].name, atoms[1].name, join.condition))
         if self._try_join_index(left_col, right_col, new_binding):
             for conjunct in residual:
                 self._filter_by_mask(conjunct)
@@ -383,7 +385,7 @@ class _SelectCompiler:
                 return Var(ctx.emit("m", "batcalc.-", (Const(0), operand)))
             raise SQLCompileError("unsupported unary {0!r}".format(expr.op))
         if isinstance(expr, BinOp):
-            op = _CMP_TO_CALC.get(expr.op, expr.op)
+            op = CMP_TO_CALC.get(expr.op, expr.op)
             left = self._compile_expr(expr.left)
             right = self._compile_expr(expr.right)
             family = "calc." if (isinstance(left, Const)
@@ -456,7 +458,7 @@ class _SelectCompiler:
             right = Var(self._compile_scalar_agg_expr(expr.right)) \
                 if contains_aggregate(expr.right) \
                 else self._compile_expr(expr.right)
-            op = _CMP_TO_CALC.get(expr.op, expr.op)
+            op = CMP_TO_CALC.get(expr.op, expr.op)
             return ctx.emit("agg", "calc." + op, (left, right))
         if isinstance(expr, Literal):
             return ctx.emit("agg", "language.pass", (_const(expr),))
@@ -539,7 +541,7 @@ class _SelectCompiler:
                                                 gids, extents, ngroups))
             right = Var(self._compile_group_expr(expr.right, group_keys,
                                                  gids, extents, ngroups))
-            op = _CMP_TO_CALC.get(expr.op, expr.op)
+            op = CMP_TO_CALC.get(expr.op, expr.op)
             return ctx.emit("m", "batcalc." + op, (left, right))
         if isinstance(expr, UnaryOp) and expr.op == "not":
             operand = self._compile_group_expr(expr.operand, group_keys,

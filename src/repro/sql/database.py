@@ -16,6 +16,7 @@ from repro.sql.ast import (
 from repro.sql.catalog import Catalog
 from repro.sql.compiler import compile_select, compile_where_candidates
 from repro.sql.parser import parse_sql
+from repro.sql.partials import value_bat
 from repro.sql.render import render_select
 from repro.sql.statement_cache import StatementCache
 from repro.sql.transactions import Transaction
@@ -23,9 +24,13 @@ from repro.views.maintainer import ViewMaintainer
 
 
 class ResultSet:
-    """Columnar query result: named columns of decoded Python values."""
+    """Columnar query result: named columns of decoded Python values.
 
-    def __init__(self, names, columns):
+    ``bats`` are the engine's output BATs the columns were decoded
+    from, where it kept them (None entries where not): a split query's
+    finish merges shard legs' results as BATs (:meth:`bats`)."""
+
+    def __init__(self, names, columns, bats=None):
         if len(names) != len(columns):
             raise ValueError("names/columns arity mismatch")
         lengths = {len(c) for c in columns}
@@ -33,6 +38,19 @@ class ResultSet:
             raise ValueError("ragged result columns: {0}".format(lengths))
         self.names = list(names)
         self.columns = [list(c) for c in columns]
+        self._bats = list(bats) if bats is not None \
+            else [None] * len(columns)
+
+    @classmethod
+    def from_bats(cls, names, bats):
+        """A result of output BATs, decoded once (every nil as None)."""
+        return cls(names, [_decoded(bat) for bat in bats], bats=bats)
+
+    def bats(self):
+        """The columns as BATs: the engine's own where it kept them,
+        else built from the decoded values."""
+        return [bat if bat is not None else value_bat(values)
+                for bat, values in zip(self._bats, self.columns)]
 
     def __len__(self):
         return len(self.columns[0]) if self.columns else 0
@@ -282,7 +300,7 @@ class Database:
                                             self.tracer, self.smp_profile,
                                             context=context)
                 if result is not None:
-                    return ResultSet(result.names, result.columns)
+                    return result.result
             return self._run_select(statement, view=self.catalog,
                                     context=context)
         if isinstance(statement, Explain):
@@ -412,7 +430,7 @@ class Database:
         except ParallelExecutionFailed as failure:
             self.parallel_fallbacks += 1
             self.last_parallel = ParallelResult(
-                [], [], None, failures=list(failure.failures),
+                None, None, failures=list(failure.failures),
                 fell_back=True)
             return None
         self.parallel_runs += 1
@@ -477,8 +495,7 @@ class Database:
                     SCALED_SMP if self.smp_profile is None
                     else self.smp_profile)
             if result is not None:
-                return QueryProfile(tracer.roots[-1],
-                                    ResultSet(result.names, result.columns),
+                return QueryProfile(tracer.roots[-1], result.result,
                                     worker_set=result.worker_set)
             tracer.roots.clear()  # restart the tree for the serial run
         hierarchy = (SCALED_DEFAULT if hardware_profile is None
@@ -570,17 +587,32 @@ class Database:
             interpreter.governance = NO_GOVERNANCE
 
     @staticmethod
-    def _materialize_result(program, names, out):
+    def _returns(program, out):
+        """``(values, n)``: a planned program's return values, each
+        scalar as :func:`_scalar` gives it, and the result's row count.
+        A pure scalar result (aggregates without GROUP BY) is one row;
+        scalars beside columns are constant expressions (SELECT -5, k
+        FROM t), broadcast to the columns' length."""
         values = [out[name] for name in program.returns]
-        widths = {len(v) for v in values if isinstance(v, BAT)}
-        if not widths:
-            # Pure scalar result (e.g. aggregates without GROUP BY).
-            return ResultSet(names, [[_scalar(v)] for v in values])
-        # Scalar returns alongside columns are constant expressions
-        # (SELECT -5, k FROM t): broadcast them to the column length.
-        n = max(widths)
+        widths = [len(v) for v in values if isinstance(v, BAT)]
+        return [v if isinstance(v, BAT) else _scalar(v) for v in values], \
+            max(widths) if widths else 1
+
+    @classmethod
+    def _materialize_result(cls, program, names, out):
+        values, n = cls._returns(program, out)
         return ResultSet(names, [_decoded(v) if isinstance(v, BAT)
-                                 else [_scalar(v)] * n for v in values])
+                                 else [v] * n for v in values],
+                         bats=[v if isinstance(v, BAT) else None
+                               for v in values])
+
+    @classmethod
+    def _result_bats(cls, program, out):
+        """A planned program's output as BATs, undecoded: a split
+        query's part (a scalar becomes a column of its own)."""
+        values, n = cls._returns(program, out)
+        return [v if isinstance(v, BAT) else value_bat([v] * n)
+                for v in values]
 
     def _eval_where(self, statement, view, context=None):
         """Visible oids of a DELETE/UPDATE's table matching its WHERE."""

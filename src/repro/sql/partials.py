@@ -14,27 +14,48 @@ runs it:
   strips the hidden keys;
 * an aggregate's part ships group keys ++ partials
   (:func:`split_aggregates`: COUNT/SUM/MIN/MAX ship as themselves, AVG
-  as SUM + COUNT), and :func:`merge_aggregates` recombines them group
-  by group, then applies HAVING / ORDER BY / DISTINCT / LIMIT.
+  as SUM + COUNT), and :func:`merge_aggregates` re-aggregates them per
+  group, then applies HAVING / ORDER BY / DISTINCT / LIMIT.
+
+The finish is BAT algebra over whole columns, run once per statement.
+A part is its output BATs (a scalar part value is a 1-row BAT); each
+column of all parts packs into one BAT, and a merge returns the output
+BATs, which the caller decodes once.  Keys group with
+:func:`~repro.core.algebra.group_arrays` (refined key by key, so groups
+come out in ascending key order, as on one node); partials
+re-aggregate with the grouped kernels (count and sum as exact sums,
+min/max as extrema); merge trees run through
+:func:`~repro.core.algebra.calc`; HAVING is a mask, ORDER BY one
+:func:`~repro.core.algebra.sort_multi`, DISTINCT the first occurrence
+of each row and LIMIT a slice.  A morsel's parts share the catalog's
+string heaps, so their offsets pack as they are; strings from another
+heap (shard legs, view partials) are re-interned into a fresh one.
 
 Materialized views (:mod:`repro.views`) are the third user: an
 aggregate view keeps a :class:`PartialState` per partial per group and
 folds each committed delta — one more part, weighted ±1 — into it with
-the finish's own per-kind table; sharded reads merge its part rows.
+the finish's own per-kind table; sharded reads merge its part columns.
 
 Merge trees reuse the SQL AST's operator nodes (BinOp/UnaryOp/Literal)
 with three extra leaves (:class:`GroupCol`, :class:`Partial`,
-:class:`AvgOf`).  Values are decoded Python values with None for nil;
-aggregates of nothing are None (COUNT: 0), arithmetic runs through the
-shared scalar operator table (:mod:`repro.core.scalar`), sorts put nil
-first ascending and last descending, HAVING treats None as false.
+:class:`AvgOf`).  Nil follows the column kernels: arithmetic over nil
+is nil, a comparison with nil is false (HAVING drops the group), an
+aggregate of nothing is nil (COUNT: 0, so AVG is the nil SUM over it),
+and sorts put nil first ascending and last descending.  A view
+evaluates the same trees one group at a time over decoded values
+(:func:`eval_merge`, through :mod:`repro.core.scalar`).
 Floating-point recombination is exact for dyadic-rational data;
 arbitrary doubles may see the usual re-association jitter.
 """
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.algebra import order_rows
+import numpy as np
+
+from repro.core import algebra
+from repro.core.atoms import BIT, DBL, LNG, STR
+from repro.core.bat import BAT
+from repro.core.heap import StringHeap
 from repro.core.scalar import SCALAR_OPS
 from repro.sql.ast import (
     BinOp, Column, FuncCall, Literal, Params, SelectItem, UnaryOp,
@@ -48,6 +69,11 @@ class MergeError(Exception):
 
 class Undecomposable(Exception):
     """A SELECT shape with no split into parts plus a merge."""
+
+
+#: SQL comparison operator -> its calc operator.
+CMP_TO_CALC = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">",
+               ">=": ">="}
 
 
 # -- merge-tree leaves ----------------------------------------------------------
@@ -261,18 +287,9 @@ def split_select(select, bindings):
 
 # -- the finish -----------------------------------------------------------------
 
-#: kind -> the total of one partial's present values: how the finish
-#: merges parts, and how a :class:`PartialState` folds and merges.
+#: kind -> the total of one partial's present values: how a
+#: :class:`PartialState` folds and merges.
 _TOTAL = {"count": sum, "sum": sum, "min": min, "max": max}
-
-
-def combine_partials(kind, values):
-    """Fold one partial aggregate's per-part values into the total."""
-    total = _TOTAL.get(kind)
-    if total is None:
-        raise MergeError("unknown partial kind {0!r}".format(kind))
-    present = [v for v in values if v is not None]
-    return total(present) if present or kind == "count" else None
 
 
 class PartialState:
@@ -306,7 +323,7 @@ class PartialState:
             self.value = _TOTAL[self.kind]((self.value, other.value))
 
     def final(self):
-        """The partial's value, as a part row carries it."""
+        """The partial's value, as a part column carries it."""
         if self.kind == "count":
             return self.n
         return self.value if self.n else None
@@ -344,11 +361,10 @@ FOLD = {"count": _fold_count, "sum": _fold_sum, "min": _fold_extremum,
 
 
 def eval_merge(expr, group, combined):
-    """Evaluate a merge tree for one merged group.
-
-    ``group`` is the group-key tuple, ``combined`` the recombined
-    partial values.
-    """
+    """Evaluate a merge tree for one group of decoded values: a view's
+    backing row.  ``group`` is the group-key tuple, ``combined`` the
+    partial values.  The finish evaluates the same trees column-wise
+    (:func:`_evaluate`)."""
     if isinstance(expr, Partial):
         return combined[expr.index]
     if isinstance(expr, GroupCol):
@@ -369,69 +385,187 @@ def eval_merge(expr, group, combined):
     raise MergeError("unsupported merge expression {0!r}".format(expr))
 
 
-def _distinct(rows):
-    seen = set()
-    out = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
+def value_bat(values):
+    """A column of decoded values (None for nil) as a BAT: a part
+    column no engine kept as a BAT (a scalar result, a view's partial
+    state).  Strings get a fresh heap, any float makes the column DBL,
+    booleans BIT and the rest LNG; a column of nothing but nil is LNG,
+    and its nils pack into a column of any type."""
+    kinds = set(map(type, values)) - {type(None)}
+    if any(issubclass(kind, str) for kind in kinds):
+        return BAT.from_values(values, atom=STR)
+    if kinds == {bool}:
+        return BAT(BIT, [bool(v) for v in values])
+    atom = DBL if any(issubclass(kind, float) for kind in kinds) else LNG
+    return BAT(atom, [atom.nil if v is None else v for v in values])
 
 
-def merge_rows(plan, part_rows):
-    """Finish a split projection: concatenate the parts' rows, re-sort
-    on the (possibly hidden) order-key columns, DISTINCT/LIMIT, strip
-    hidden columns."""
-    rows = [row for rows in part_rows for row in rows]
-    if plan.distinct:
-        rows = _distinct(rows)
+def _pack(column):
+    """One column of every part as one BAT.  Parts of one atom and heap
+    concatenate as they are.  Otherwise strings re-intern into a fresh
+    heap, numbers widen (any float: DBL), and a part holding only nils
+    (a scalar part's untyped nil) takes the other parts' type."""
+    first = column[0]
+    tails = [bat.tail for bat in column
+             if bat.atom is first.atom and bat.heap is first.heap]
+    if len(tails) == len(column):
+        return BAT(first.atom, np.concatenate(tails), heap=first.heap)
+    if any(bat.atom.varsized for bat in column):
+        heap = StringHeap()
+        tails = [np.full(len(bat), heap.NIL_OFFSET) if bat.heap is None
+                 else _reinterned(bat, heap) for bat in column]
+        return BAT(STR, np.concatenate(tails), heap=heap)
+    nils = [algebra.calc_isnil_arrays(bat.tail, bat.atom) for bat in column]
+    typed = [bat.atom for bat, nil in zip(column, nils) if not nil.all()]
+    atom = DBL if any(a.dtype.kind == "f" for a in typed) \
+        else typed[0] if typed else first.atom
+    tails = [bat.tail.astype(atom.dtype) for bat in column]
+    for tail, nil in zip(tails, nils):
+        tail[nil] = atom.nil
+    return BAT(atom, np.concatenate(tails))
+
+
+def _reinterned(bat, heap):
+    """A string column's offsets in ``heap``: each distinct string
+    interned once."""
+    distinct, inverse = np.unique(bat.tail, return_inverse=True)
+    return heap.put_many(bat.heap.get_many(distinct))[inverse]
+
+
+def _packed(parts, width):
+    """The ``width`` columns of ``parts`` (each a list of BATs), packed;
+    empty columns when there is no part."""
+    if not parts:
+        return [BAT(LNG, []) for _ in range(width)]
+    return [_pack([part[i] for part in parts]) for i in range(width)]
+
+
+def _first_occurrences(columns):
+    """Ascending positions of each distinct row's first occurrence."""
+    gids = None
+    for column in columns:
+        gids, extents, _ = algebra.group_arrays(column.tail, gids)
+    return np.sort(extents)
+
+
+def _sort(keys, ascending):
+    """The stable order of the rows by ``keys`` (nil first ascending,
+    last descending)."""
+    return algebra.sort_multi(*[arg for key, asc in zip(keys, ascending)
+                                for arg in (key, asc)]).tail
+
+
+def _take(columns, positions, limit):
+    """``columns`` at ``positions`` (None: in place), the first
+    ``limit`` rows kept (None: all)."""
+    if limit is not None:
+        positions = np.arange(min(limit, len(columns[0]))) \
+            if positions is None else positions[:limit]
+    if positions is None:
+        return columns
+    return [column.fetch(positions) for column in columns]
+
+
+def merge_rows(plan, parts):
+    """Finish a split projection: the parts' columns concatenated in
+    part order, DISTINCT (each row's first occurrence), ORDER BY on the
+    (possibly hidden) order-key columns, LIMIT.  Returns the
+    ``n_items`` output BATs."""
+    if not parts:
+        return _packed(parts, plan.n_items)
+    columns = _packed(parts, len(parts[0]))
+    positions = _first_occurrences(columns) if plan.distinct else None
     if plan.order_columns:
-        rows = order_rows(rows,
-                          lambda row, i: row[plan.order_columns[i][0]],
-                          [asc for _, asc in plan.order_columns])
-    if plan.limit is not None:
-        rows = rows[:plan.limit]
-    if any(pos >= plan.n_items for pos, _ in plan.order_columns):
-        rows = [row[:plan.n_items] for row in rows]
-    return rows
+        keys = [columns[p] if positions is None
+                else columns[p].fetch(positions)
+                for p, _ in plan.order_columns]
+        order = _sort(keys, [asc for _, asc in plan.order_columns])
+        positions = order if positions is None else positions[order]
+    return _take(columns[:plan.n_items], positions, plan.limit)
 
 
-def merge_aggregates(plan, part_rows):
-    """Finish a split aggregate: recombine partials group by group,
-    then apply HAVING / ORDER BY / DISTINCT / LIMIT."""
+def _reaggregate(kind, column, gids, ngroups):
+    """One partial's per-group total over its packed part values: count
+    and sum add (exact in int64), min and max take the extremum; nil
+    where a group has no value, a count 0."""
+    if ngroups and not len(column):
+        # A scalar aggregate over no part rows.
+        if kind == "count":
+            return BAT(LNG, [0])
+        return BAT(column.atom, [column.atom.nil], heap=column.heap)
+    if kind in ("count", "sum"):
+        out = algebra.grouped_sum_arrays(column.tail, gids, ngroups)
+        return BAT(DBL if out.dtype.kind == "f" else LNG, out)
+    extreme = algebra.grouped_min_arrays if kind == "min" \
+        else algebra.grouped_max_arrays
+    out = extreme(column.tail, gids, ngroups, column.heap)
+    return BAT(DBL if out.dtype.kind == "f" else column.atom, out,
+               heap=column.heap)
+
+
+def _evaluate(tree, keys, partials, n):
+    """A merge tree over ``n`` groups' key and partial BATs, as a BAT
+    (a literal broadcast)."""
+    if isinstance(tree, GroupCol):
+        return keys[tree.index]
+    if isinstance(tree, Partial):
+        return partials[tree.index]
+    if isinstance(tree, Literal):
+        return value_bat([tree.value] * n)
+    if isinstance(tree, AvgOf):
+        # A zero count has a nil sum, so its mean is nil.
+        return algebra.calc("/", partials[tree.sum_index],
+                            partials[tree.count_index])
+    if isinstance(tree, BinOp):
+        return algebra.calc(CMP_TO_CALC.get(tree.op, tree.op),
+                            _evaluate(tree.left, keys, partials, n),
+                            _evaluate(tree.right, keys, partials, n))
+    if isinstance(tree, UnaryOp):
+        operand = _evaluate(tree.operand, keys, partials, n)
+        if tree.op == "not":
+            return algebra.calc_not(operand)
+        return algebra.calc("-", 0, operand)   # as the compiler negates
+    raise MergeError("unsupported merge expression {0!r}".format(tree))
+
+
+def merge_aggregates(plan, parts):
+    """Finish a split aggregate: group the parts' keys, re-aggregate
+    each partial per group, keep the groups HAVING passes, evaluate the
+    items and ORDER BY keys over them, then DISTINCT / LIMIT.  Returns
+    the output BATs.  A scalar aggregate is one group, over no part
+    rows too."""
     n_group = plan.n_group
-    kinds = plan.partial_kinds
-    groups = {}      # group key tuple -> its part rows, in arrival order
-    for rows in part_rows:
-        for row in rows:
-            groups.setdefault(tuple(row[:n_group]), []).append(row)
-    if not n_group and not groups:
-        # A scalar aggregate over no part rows still yields one row.
-        groups[()] = []
-    out = []
-    for key, rows in groups.items():     # first-arrival group order
-        columns = list(zip(*rows))[n_group:] if rows else [()] * len(kinds)
-        combined = [combine_partials(kind, values)
-                    for kind, values in zip(kinds, columns)]
-        if plan.having_expr is not None and \
-                not eval_merge(plan.having_expr, key, combined):
-            continue
-        # NaN is the DOUBLE nil, which a result holds as None.
-        row = tuple(None if value != value else value
-                    for value in (eval_merge(e, key, combined)
-                                  for e in plan.item_exprs))
-        out.append((row, key, combined))
-    rows = [row for row, _, _ in out]
+    columns = _packed(parts, n_group + len(plan.partials))
+    keys = columns[:n_group]
+    if keys:
+        gids = None
+        for key in keys:
+            gids, extents, _ = algebra.group_arrays(key.tail, gids)
+        keys = [key.fetch(extents) for key in keys]
+        ngroups = len(extents)
+    else:
+        gids = np.zeros(len(columns[0]), dtype=np.int64)
+        ngroups = 1
+    partials = [_reaggregate(kind, column, gids, ngroups)
+                for kind, column in zip(plan.partial_kinds,
+                                        columns[n_group:])]
+    if plan.having_expr is not None:
+        # A mask, read as the single-node engine reads one.
+        keep = np.flatnonzero(_evaluate(plan.having_expr, keys, partials,
+                                        ngroups).tail.astype(bool))
+        keys = [key.fetch(keep) for key in keys]
+        partials = [partial.fetch(keep) for partial in partials]
+        ngroups = len(keep)
+    out = [_evaluate(tree, keys, partials, ngroups)
+           for tree in plan.item_exprs]
+    positions = None
     if plan.order_exprs:
-        decorated = order_rows(out,
-                               lambda entry, i: eval_merge(
-                                   plan.order_exprs[i][0], entry[1],
-                                   entry[2]),
-                               [asc for _, asc in plan.order_exprs])
-        rows = [row for row, _, _ in decorated]
+        positions = _sort([_evaluate(tree, keys, partials, ngroups)
+                           for tree, _ in plan.order_exprs],
+                          [asc for _, asc in plan.order_exprs])
     if plan.distinct:
-        rows = _distinct(rows)
-    if plan.limit is not None:
-        rows = rows[:plan.limit]
-    return rows
+        first = _first_occurrences(
+            out if positions is None
+            else [column.fetch(positions) for column in out])
+        positions = first if positions is None else positions[first]
+    return _take(out, positions, plan.limit)

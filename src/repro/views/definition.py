@@ -109,6 +109,10 @@ def classify(tables, name, select, view_names=()):
             kind = "eager"
     items = _expand_items(select, refs, bindings)
     columns = _output_columns(items, bindings)
+    for expr in [select.where, select.having, *select.group_by,
+                 *(join.condition for join in select.joins)]:
+        if expr is not None:
+            infer_atom(expr, bindings)   # type errors, before any run
     return ViewDefinition(name=name, select=select, kind=kind,
                           base_tables=base_tables, columns=columns,
                           items=items, plan=plan)

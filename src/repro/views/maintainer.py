@@ -18,10 +18,10 @@ expressions once, when the view is created
 (:func:`~repro.views.rows.compile_expr`; an eager view compiles its
 query through the SQL compiler instead), so
 :meth:`ViewMaintainer.validate` rejects an unknown or ambiguous column
-before the WAL append; a join view probes the delta by key with each
-side's predicates pushed down (:class:`_JoinView`); an aggregate view
-rewrites the groups a delta touched with one backing-table delete and
-one append.
+and a type error before the WAL append; a join view probes the delta by
+key with each side's predicates pushed down (:class:`_JoinView`); an
+aggregate view rewrites the groups a delta touched with one
+backing-table delete and one append.
 
 Backing tables are derived state: they are never WAL-logged
 themselves.  The log carries ``create_view``/``drop_view`` records
@@ -36,7 +36,7 @@ from repro.core.algebra import _present
 from repro.core.atoms import BIT
 from repro.sql.ast import BinOp, Column, Literal, Star, split_conjuncts
 from repro.sql.compiler import SQLCompileError, compile_select
-from repro.sql.partials import FOLD, PartialState, eval_merge
+from repro.sql.partials import FOLD, PartialState, eval_merge, value_bat
 from repro.views.definition import classify
 from repro.views.rows import (
     ViewError, compile_expr, compile_predicate, compile_row, decode_row,
@@ -86,8 +86,8 @@ class ViewMaintainer:
 
     def validate(self, name, select):
         """Classify and compile without installing — the pre-WAL
-        validation step, so every column the view names resolves
-        before anything is logged."""
+        validation step, so every column the view names resolves and
+        every expression type-checks before anything is logged."""
         return self._operator(name, select).d
 
     def _operator(self, name, select):
@@ -181,8 +181,8 @@ class ViewMaintainer:
         return logical_rows(self._db.catalog.get(name))
 
     def partials(self, name):
-        """An aggregate view's part rows — group keys followed by one
-        value per partial of its plan, the rows a scatter leg returns —
+        """An aggregate view's part columns — group keys followed by one
+        column per partial of its plan, the BATs a scatter leg returns —
         for sharded reads, which finish them with
         :func:`~repro.sql.partials.merge_aggregates`."""
         view = self._view(name)
@@ -190,7 +190,7 @@ class ViewMaintainer:
             raise ViewError(
                 "view {0!r} has no partial-aggregate state "
                 "({1})".format(name, view.d.kind))
-        return view.part_rows()
+        return view.part_columns()
 
 
 # -- operator implementations -------------------------------------------------
@@ -586,13 +586,16 @@ class _AggregateView(_ViewOperator):
                 state.refold([v for v in map(self._args[index], rows)
                               if v is not None])
 
-    def part_rows(self):
+    def part_columns(self):
         """Group keys followed by each partial's value, per live
-        group (the scalar shape's one group always)."""
-        return [group.key_values +
+        group (the scalar shape's one group always), as columns."""
+        rows = [group.key_values +
                 tuple(state.final() for state in group.states)
                 for group in self._groups.values()
                 if group.weight or self._scalar]
+        width = len(self.d.select.group_by) + len(self._kinds)
+        return [value_bat(list(column))
+                for column in list(zip(*rows)) or [()] * width]
 
 
 class _EagerView(_ViewOperator):

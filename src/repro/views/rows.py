@@ -175,13 +175,17 @@ def compile_row(exprs, slots):
 # -- output-type inference ----------------------------------------------------
 
 def infer_atom(expr, tables):
-    """The storage atom of one output expression.
+    """The storage atom of one expression, checked for type errors.
 
     ``tables`` maps binding name -> Table (aliases included).  Follows
     the engine's coercions: ``/`` and any floating operand widen to
     double, comparisons/logic are booleans, ``count`` is a bigint,
     ``sum``/``min``/``max`` keep their operand's type, ``avg`` is a
-    double.
+    double.  A string in arithmetic, a negation, a SUM or an AVG, or
+    ordered (``<``, ``<=``, ``>``, ``>=``) against a non-string, raises
+    :class:`ViewError`: every type error maintenance would meet is
+    caught when the view is created.  ``=`` and ``<>`` across types
+    pass, as the engine runs them.
     """
     if isinstance(expr, Literal):
         value = expr.value
@@ -197,27 +201,50 @@ def infer_atom(expr, tables):
     if isinstance(expr, BinOp):
         left = infer_atom(expr.left, tables)
         right = infer_atom(expr.right, tables)
-        if expr.op in ("and", "or", "=", "<>", "<", "<=", ">", ">="):
+        if expr.op in ("and", "or", "=", "<>"):
+            return BIT   # equality across types matches nothing
+        if expr.op in ("<", "<=", ">", ">="):
+            if (left is STR) != (right is STR) and \
+                    not _is_null(expr.left) and not _is_null(expr.right):
+                raise ViewError("cannot order {0} against {1} in "
+                                "{2!r}".format(left.name, right.name, expr))
             return BIT
+        if STR in (left, right):
+            raise ViewError("arithmetic over a string in {0!r}".format(expr))
         if expr.op == "/" or DBL in (left, right):
             return DBL
         return LNG
     if isinstance(expr, UnaryOp):
         operand = infer_atom(expr.operand, tables)
-        return BIT if expr.op == "not" else operand
+        if expr.op == "not":
+            return BIT
+        if operand is STR:
+            raise ViewError("negation of a string in {0!r}".format(expr))
+        return operand
     if isinstance(expr, IsNull):
+        infer_atom(expr.operand, tables)
         return BIT
     if isinstance(expr, FuncCall) and expr.is_aggregate:
         if expr.name == "count":
             if len(expr.args) > 1:
                 raise ViewError("count() arity")
+            if expr.args and not isinstance(expr.args[0], Star):
+                infer_atom(expr.args[0], tables)
             return LNG
         if len(expr.args) != 1 or isinstance(expr.args[0], Star):
             raise ViewError("{0} needs one column argument".format(
                 expr.name))
-        return DBL if expr.name == "avg" else \
-            infer_atom(expr.args[0], tables)
+        operand = infer_atom(expr.args[0], tables)
+        if operand is STR and expr.name in ("sum", "avg"):
+            raise ViewError("{0} of a string in {1!r}".format(expr.name,
+                                                             expr))
+        return DBL if expr.name == "avg" else operand
     raise ViewError("cannot infer the type of {0!r}".format(expr))
+
+
+def _is_null(expr):
+    """True for the NULL literal, which compares with any type."""
+    return isinstance(expr, Literal) and expr.value is None
 
 
 def _column_atom(column, tables):

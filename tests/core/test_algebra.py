@@ -197,6 +197,17 @@ class TestSortGroup:
         assert len(hist) == 3  # (1,9), (1,8), (2,9)
         assert sorted(hist.decoded()) == [1, 1, 2]
 
+    def test_group_refinement_by_a_real_column(self):
+        """A 4-byte float key refines like a double one (it once could
+        not be read as 64-bit integers)."""
+        a = BAT.from_values([1, 1, 2, 2])
+        gids_a, _, _ = algebra.group(a)
+        for dtype in (np.float32, np.float64):
+            f = np.array([1.5, np.nan, 1.5, 1.5], dtype=dtype)
+            gids, _, hist = algebra.group_arrays(f, gids_a.tail)
+            assert gids.tolist() == [0, 1, 2, 2]
+            assert hist.tolist() == [1, 1, 2]
+
     def test_group_strings(self):
         b = BAT.from_values(["x", "y", "x"])
         gids, _, hist = algebra.group(b)

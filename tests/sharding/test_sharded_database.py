@@ -226,3 +226,28 @@ class TestReplicatedShards:
         db = ShardedDatabase(n_shards=2, replicas=1)
         with pytest.raises(NotImplementedError):
             db.begin()
+
+
+@pytest.mark.parametrize("in_transaction", [False, True])
+def test_insert_with_one_bad_row_writes_no_shard(in_transaction):
+    """A multi-shard INSERT is checked whole before any shard sees it:
+    one bad value on a shard-1 key leaves ``t`` empty, in autocommit
+    and across BEGIN/COMMIT alike."""
+    sdb = ShardedDatabase(n_shards=2)
+    sdb.execute("CREATE TABLE t (k INT, v INT) PARTITION BY (k)")
+    bad = next(k for k in range(8) if sdb.shard_map.shard_of(k) == 1)
+    assert {sdb.shard_map.shard_of(k) for k in range(8)} == {0, 1}
+    sql = "INSERT INTO t VALUES " + ", ".join(
+        "({0}, {1})".format(k, "'bad'" if k == bad else k)
+        for k in range(8))
+    if in_transaction:
+        txn = sdb.begin()
+        with pytest.raises(ValueError):
+            txn.execute(sql)
+        txn.commit()
+    else:
+        with pytest.raises(ValueError):
+            sdb.execute(sql)
+    assert sdb.query("SELECT k FROM t") == []
+    for node in sdb.shards:
+        assert node.db.query("SELECT k FROM t") == []

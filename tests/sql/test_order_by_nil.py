@@ -3,15 +3,14 @@
 NaN is the DBL nil; it once broke every comparator it met, so a
 nullable DOUBLE sort key came back unsorted.  The same statement runs
 single-node interpreted, compiled, with ``workers=4`` and over two
-shards; the Python-row sort behind the morsel and shard merges is also
-tested directly.
+shards, whose merges order with the engine's own ``sort_multi``.
 """
 
 import math
 
 import pytest
 
-from repro.core import INT, algebra
+from repro.core import INT
 from repro.sharding import ShardedDatabase
 from repro.sql import Database
 
@@ -58,21 +57,6 @@ def test_single_node(sql, mode):
             "true" if mode == "compiled" else "false"))
         rows = db.query(sql)
     assert _nil_as_none(rows) == EXPECTED[sql][0]
-
-
-def test_row_finisher_key_treats_nan_as_nil():
-    # The morsel and shard merges both order Python rows with
-    # algebra.order_rows.
-    rows = [(3, 1.5), (None, float("nan")), (1, 2.5), (2, None),
-            (None, 0.5)]
-    by_f = algebra.order_rows(rows, lambda row, i: row[1], [True])
-    assert [r[0] for r in by_f] == [None, 2, None, 3, 1]
-    by_f_desc = algebra.order_rows(rows, lambda row, i: row[1], [False])
-    assert [r[0] for r in by_f_desc] == [1, 3, None, None, 2]
-    by_a_desc_f = algebra.order_rows(rows, lambda row, i: row[i],
-                                     [False, True])
-    assert _nil_as_none(by_a_desc_f) == EXPECTED[
-        "SELECT a, f FROM x ORDER BY a DESC, f"][0]
 
 
 @pytest.mark.parametrize("sql", sorted(EXPECTED))

@@ -15,7 +15,10 @@ from collections import Counter
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sql.partials import FOLD, PartialState, combine_partials
+from repro.sql import ResultSet
+from repro.sql.partials import (
+    FOLD, Partial, PartialState, SplitPlan, merge_aggregates, value_bat,
+)
 
 KINDS = ("count", "sum", "min", "max")
 
@@ -110,12 +113,16 @@ def test_folding_whole_equals_merging_pieces(case, kind):
                 max_size=4),
        st.sampled_from(KINDS))
 def test_finish_merges_part_values_as_states_merge(parts, kind):
-    """``combine_partials`` over the parts' final values (what a scatter
-    leg or a shard's view ships) equals the state of all parts."""
+    """The finish (``merge_aggregates``) over the parts' final values,
+    one 1-row part column each (what a scatter leg or a shard's view
+    ships), equals the state of all parts."""
     whole = fold(kind, [(value, 1) for part in parts for value in part])
     finals = [fold(kind, [(value, 1) for value in part]).final()
               for part in parts]
-    assert combine_partials(kind, finals) == whole.final()
+    plan = SplitPlan(aggregate=True, names=["v"], n_items=1,
+                     partials=[(kind, None)], item_exprs=[Partial(0)])
+    merged = merge_aggregates(plan, [[value_bat([v])] for v in finals])
+    assert ResultSet.from_bats(plan.names, merged).scalar() == whole.final()
 
 
 def test_retraction_to_empty():

@@ -104,6 +104,69 @@ def test_unknown_column_rejected_before_the_log(tmp_path, seeded):
     assert db.views.names() == []
 
 
+@pytest.mark.parametrize("seeded", [True, False])
+def test_type_errors_rejected_before_the_log(tmp_path, seeded):
+    """A view whose expressions mix a string into arithmetic, a SUM or
+    AVG, an ordering against a number or an engine join key with a
+    number fails at CREATE with a ViewError before the WAL append —
+    every kind, with or without rows to run it on — so the catalog is
+    unchanged and a fresh engine recovers the log."""
+    path = str(tmp_path / "wal.log")
+    db = Database(wal=WriteAheadLog(path))
+    db.execute("CREATE TABLE t (k BIGINT, s VARCHAR)")
+    if seeded:
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+    tables = sorted(db.catalog.tables)
+    for sql in ("SELECT k + s AS x FROM t", "SELECT -s AS x FROM t",
+                "SELECT k FROM t WHERE s < 3",
+                "SELECT k, sum(s) AS x FROM t GROUP BY k",
+                "SELECT avg(s) AS x FROM t",
+                "SELECT k, count(*) AS n FROM t GROUP BY k HAVING "
+                "min(s) > 1",
+                "SELECT DISTINCT k * s AS x FROM t",
+                "SELECT t.k FROM t JOIN t u ON t.s = u.k"):
+        with pytest.raises(ViewError):
+            db.execute("CREATE MATERIALIZED VIEW mv AS " + sql)
+        assert sorted(db.catalog.tables) == tables
+        assert db.views.names() == []
+    db.execute("CREATE MATERIALIZED VIEW mv AS SELECT k FROM t "
+               "WHERE s <> NULL OR s > 'a'")
+    db.execute("INSERT INTO t VALUES (3, 'c')")
+    fresh = Database(wal=WriteAheadLog(path))
+    fresh.recover()
+    assert fresh.views.names() == ["mv"]
+    assert_same_rows(fresh.query("SELECT k, s FROM t"),
+                     db.query("SELECT k, s FROM t"))
+
+
+def test_equality_across_types_is_kept(tmp_path):
+    """``=`` and ``<>`` between a string and a number match nothing (or
+    everything) on the engine, so views using them — a filter, an
+    aggregate's filter, the key of a maintained join, which matches no
+    row — create, maintain and recover."""
+    path = str(tmp_path / "wal.log")
+    db = Database(wal=WriteAheadLog(path))
+    db.execute("CREATE TABLE t (k BIGINT, s VARCHAR)")
+    db.execute("CREATE TABLE u (k BIGINT)")
+    db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+    db.execute("INSERT INTO u VALUES (1), (5)")
+    views = {"eq": "SELECT k FROM t WHERE s = 5",
+             "ne": "SELECT k, count(*) AS n FROM t WHERE s <> 5 "
+                   "GROUP BY k",
+             "j": "SELECT t.k FROM t JOIN u ON t.s = u.k"}
+    for name, sql in views.items():
+        db.execute("CREATE MATERIALIZED VIEW {0} AS {1}".format(name, sql))
+    db.execute("INSERT INTO t VALUES (3, 'c')")
+    fresh = Database(wal=WriteAheadLog(path))
+    fresh.recover()
+    assert sorted(fresh.views.names()) == sorted(views)
+    for name, sql in views.items():
+        want = [] if name == "j" else db.query(sql)
+        assert_same_rows(db.query("SELECT * FROM " + name), want)
+        assert_same_rows(fresh.query("SELECT * FROM " + name), want)
+    assert_same_rows(db.query("SELECT * FROM ne"), [(1, 1), (2, 1), (3, 1)])
+
+
 def test_ambiguous_join_column_rejected():
     """An unqualified column both join sides have is ambiguous, as the
     SQL compiler rules; a qualified one is fine."""
