@@ -125,11 +125,10 @@ def test_e24_compilation(benchmark, sink):
           len(spans(warm, "compile.exec")),
           sum(s.counters.get("fused_instructions", 0)
               for s in spans(warm, "compile.exec")))])
-    sink.note("kernel cache: {0} hits / {1} misses / {2} invalidations; "
-              "{3} compiled runs, {4} interpreted fallbacks".format(
+    sink.note("kernel cache: {0} hits / {1} misses; "
+              "{2} compiled runs, {3} interpreted fallbacks".format(
                   counters["kernel_cache_hits"],
                   counters["kernel_cache_misses"],
-                  counters["kernel_cache_invalidations"],
                   counters["compiled_runs"],
                   counters["interpreted_fallbacks"]))
 

@@ -15,22 +15,24 @@ Entry points:
 * ``Database`` — every engine runs its planned programs through
   :class:`PlanCompiler` with transparent per-fragment fallback to the
   interpreter; ``SET compile = false`` pins the interpreter;
-* :class:`PlanCompiler` — the embeddable driver (shape normalization,
-  kernel cache, codegen fault site, mixed fragment/interpreter
-  execution).
+* :class:`PlanCompiler` — the embeddable driver (kernel store lookup by
+  shape key, codegen fault site, mixed fragment/interpreter execution);
+* :func:`normalize` — a program's :class:`PlanShape`: its kernel key,
+  parameter vector and dense variable names, the one identity the
+  statement cache files beside each plan it keeps.
+
+This package imports nothing from the SQL layer or the engines built
+on it; they hand it programs, shapes and the kernel store.
 """
 
-from repro.compile.cache import KernelCache
 from repro.compile.codegen import (CompiledPlan, CompileUnsupported,
                                    MIN_FRAGMENT_OPS, compile_program)
 from repro.compile.executor import PlanCompiler
-from repro.compile.shapes import COMPILER_VERSION, PlanShape, normalize
+from repro.compile.shapes import PlanShape, normalize
 
 __all__ = [
-    "COMPILER_VERSION",
     "CompileUnsupported",
     "CompiledPlan",
-    "KernelCache",
     "MIN_FRAGMENT_OPS",
     "PlanCompiler",
     "PlanShape",

@@ -1,13 +1,17 @@
-"""Plan-compiler driver: cache, codegen faults, and mixed execution.
+"""Plan-compiler driver: kernel store, codegen faults, mixed execution.
 
-:class:`PlanCompiler` is the engine-facing entry point.  For each MAL
-program it normalizes the plan shape (cache key + parameter vector),
-consults the :class:`~repro.compile.cache.KernelCache`, generates fused
-kernels on a miss (under the ``compile.codegen`` fault site and tracer
-span), then executes the plan as an alternation of generated fragments
-and interpreted instruction runs.  Any failure — unsupported shape,
-injected codegen fault, or an unexpected runtime error inside a kernel
-— returns ``None`` so the caller transparently falls back to the plain
+:class:`PlanCompiler` is the engine-facing entry point.  Each MAL
+program comes with its :class:`~repro.compile.shapes.PlanShape` — the
+statement cache files one with every plan it keeps — or is normalized
+here.  The shape key looks up the kernel store; a miss generates fused
+kernels (under the ``compile.codegen`` fault site and tracer span).
+The plan then runs as an alternation of generated fragments and
+interpreted instruction runs, fed the shape's parameter vector.  A hit
+reads no catalog state: codegen's only catalog input is each bound
+column's type, which changes only with the schema, and a schema change
+empties the store.  Any failure — unsupported shape, injected codegen
+fault, or an unexpected runtime error inside a kernel — returns
+``None`` so the caller transparently falls back to the plain
 interpreter; compiled execution is an optimization, never a
 correctness dependency.
 """
@@ -15,10 +19,8 @@ correctness dependency.
 import numpy as np
 
 from repro.compile import runtime as rt
-from repro.compile.cache import KernelCache
-from repro.compile.codegen import (CompileUnsupported, FragmentSpec,
-                                   InterpSegment, MIN_FRAGMENT_OPS,
-                                   compile_program)
+from repro.compile.codegen import (FragmentSpec, InterpSegment,
+                                   MIN_FRAGMENT_OPS, compile_program)
 from repro.compile.shapes import normalize
 from repro.core.atoms import OID, STR
 from repro.core.bat import BAT
@@ -32,14 +34,22 @@ class _Fallback(Exception):
     """Internal: abandon compiled execution, rerun interpreted."""
 
 
-class PlanCompiler:
-    """Compiles and runs MAL plans against one Database's catalog."""
+#: The kernel store's verdict on a shape codegen refused or failed on:
+#: the interpreter owns it until the next schema change.
+REJECTED = "rejected"
 
-    def __init__(self, database, min_fragment_ops=MIN_FRAGMENT_OPS):
+
+class PlanCompiler:
+    """Compiles and runs MAL plans against one Database's catalog.
+
+    ``kernels`` is the store: a bounded map from a shape key to its
+    :class:`~repro.compile.codegen.CompiledPlan` or :data:`REJECTED`.
+    The database owns it and empties it at every schema change."""
+
+    def __init__(self, database, kernels, min_fragment_ops=MIN_FRAGMENT_OPS):
         self.database = database
+        self.kernels = kernels
         self.min_fragment_ops = min_fragment_ops
-        self.cache = KernelCache()
-        self._rejected = set()      # shape keys known not to compile
         self.stats = {
             "compiled_runs": 0,
             "interpreted_fallbacks": 0,
@@ -47,61 +57,31 @@ class PlanCompiler:
             "unsupported_plans": 0,
             "fragments_run": 0,
             "fused_instructions": 0,
+            "kernel_cache_hits": 0,
+            "kernel_cache_misses": 0,
         }
 
-    def bump_schema(self):
-        """Schema changed: orphan every kernel *and* forget negative
-        verdicts — a recreated table can turn an unsupported shape
-        (string arithmetic, say) into a compilable one."""
-        self.cache.bump_schema()
-        self._rejected.clear()
+    def compile(self, program, shape=None, tracer=None):
+        """``(plan, shape)``: a cached or fresh :class:`CompiledPlan`
+        (None: use the interpreter) and the program's identity.
 
-    # -- cache identity ------------------------------------------------------
-
-    def _layout_token(self, shape):
-        """Cracker-presence fingerprint of the columns this shape reads.
-
-        A kernel compiled while a column was uncracked calls the plain
-        scan path; once a cracker index exists (or disappears after a
-        vacuum), the plan the SQL optimizer emits changes shape anyway —
-        but the *same* shape can also flip between layouts across
-        tables, so the token forces respecialization rather than trust.
+        ``shape`` is the program's :class:`~repro.compile.shapes.PlanShape`
+        when its planner already knows it; else the program is
+        normalized here.  A plan is None when the shape is rejected, or
+        when an injected codegen fault fired (not remembered: the next
+        query retries compilation).
         """
-        token = []
-        for table, column in shape.cracked + shape.binds:
-            try:
-                cracked = column in self.database.catalog.get(
-                    table)._crackers
-            except Exception:
-                cracked = None
-            token.append((table, column, cracked))
-        return tuple(token)
-
-    # -- compilation ---------------------------------------------------------
-
-    def _shape_of(self, program):
-        shape = getattr(program, "_compile_shape", None)
         if shape is None:
             shape = normalize(program)
-            program._compile_shape = shape
-        return shape
-
-    def compile(self, program, tracer=None):
-        """Return a cached or fresh :class:`CompiledPlan`, or ``None``.
-
-        ``None`` means "use the interpreter": either the shape is
-        unsupported (negative-cached) or an injected codegen fault fired
-        (not negative-cached — the next query retries compilation).
-        """
-        tracer = tracer if tracer is not None else NO_TRACE
-        shape = self._shape_of(program)
-        if shape.key in self._rejected:
+        plan = self.kernels.get(shape.key)
+        if plan is REJECTED:
             self.stats["unsupported_plans"] += 1
             return None, shape
-        token = self._layout_token(shape)
-        plan = self.cache.lookup(shape.key, token)
         if plan is not None:
+            self.stats["kernel_cache_hits"] += 1
             return plan, shape
+        self.stats["kernel_cache_misses"] += 1
+        tracer = tracer if tracer is not None else NO_TRACE
         try:
             with tracer.span("compile.codegen", kind="compile") as span:
                 self.database.faults.inject("compile.codegen")
@@ -117,22 +97,18 @@ class PlanCompiler:
             # Injected fault: fall back now, retry compiling next time.
             self.stats["codegen_faults"] += 1
             return None, shape
-        except CompileUnsupported:
-            self._rejected.add(shape.key)
-            self.stats["unsupported_plans"] += 1
-            return None, shape
         except Exception:
-            # Codegen bug on an exotic shape: never trust it, never
-            # retry it — the interpreter owns this plan from now on.
-            self._rejected.add(shape.key)
+            # CompileUnsupported, or a codegen bug on an exotic shape:
+            # never trust it, never retry it until the schema changes.
+            self.kernels.put(shape.key, REJECTED)
             self.stats["unsupported_plans"] += 1
             return None, shape
-        self.cache.store(shape.key, token, plan)
+        self.kernels.put(shape.key, plan)
         return plan, shape
 
     # -- execution -----------------------------------------------------------
 
-    def try_run(self, program, view, interpreter, tracer=None,
+    def try_run(self, program, view, interpreter, shape=None, tracer=None,
                 hierarchy=None):
         """Run ``program`` compiled against ``view``.
 
@@ -140,9 +116,10 @@ class PlanCompiler:
         ``None`` when the caller should run the interpreter instead.
         ``view`` is the catalog the query reads (base catalog or a
         transaction snapshot); ``interpreter`` executes the
-        non-compiled segments with its usual recycler/tracing.
+        non-compiled segments with its usual recycler/tracing;
+        ``shape`` is as for :meth:`compile`.
         """
-        plan, shape = self.compile(program, tracer=tracer)
+        plan, shape = self.compile(program, shape, tracer=tracer)
         if plan is None:
             return None
         try:
@@ -164,33 +141,12 @@ class PlanCompiler:
         self.stats["compiled_runs"] += 1
         return {name: env[name] for name in program.returns}
 
-    @staticmethod
-    def _var_names(program):
-        """Dense shape id -> this program's variable name.
-
-        A cached plan identifies variables by dense id so it can serve
-        every same-shape program; the mapping back to *this* program's
-        names is memoized alongside the shape.
-        """
-        names = getattr(program, "_compile_var_names", None)
-        if names is None:
-            ids = {}
-            for instr in program.instructions:
-                for name in instr.results:
-                    if name not in ids:
-                        ids[name] = len(ids)
-            names = [None] * len(ids)
-            for name, dense in ids.items():
-                names[dense] = name
-            program._compile_var_names = names
-        return names
-
     def _run_plan(self, plan, shape, program, view, interpreter, tracer,
                   hierarchy):
         tracer = tracer if tracer is not None else NO_TRACE
         ctx = rt.FragmentContext(view, hierarchy)
         P = shape.params
-        names = self._var_names(program)
+        names = shape.names
         env = {}
         gov = interpreter.governance
         for segment in plan.segments:
@@ -231,7 +187,8 @@ class PlanCompiler:
 
     def counters(self):
         merged = dict(self.stats)
-        merged.update(self.cache.counters())
+        merged["kernel_cache_entries"] = sum(
+            1 for plan in self.kernels.values() if plan is not REJECTED)
         return merged
 
 

@@ -1,13 +1,14 @@
-"""Plan-shape normalization: the kernel cache key.
+"""Plan-shape normalization: the kernel identity.
 
 Two MAL programs have the same *shape* when they run the same operator
 sequence over the same dataflow with the same catalog objects and the
 same literal *types* — only the literal *values* may differ.  The shape
-is the cache key; the values become the runtime parameter vector ``P``
-that a generated kernel receives on every call.  Constants are never
-baked into generated source, so two same-shape queries share one kernel
-but can never share each other's results (the cache-poisoning hazard
-the oracle suite regresses).
+key files the compiled kernel; the values become the runtime parameter
+vector ``P`` that a generated kernel receives on every call, and the
+dense variable names map the kernel's dataflow back to this program's
+variables.  Constants are never baked into generated source, so two
+same-shape queries share one kernel but can never share each other's
+results (the cache-poisoning hazard the oracle suite regresses).
 
 Structural constants — the ones that legitimately change what code is
 generated — stay in the key verbatim:
@@ -25,9 +26,6 @@ from dataclasses import dataclass
 
 from repro.mal.ast import Const, Var
 
-#: Bump to orphan every cached kernel when codegen semantics change.
-COMPILER_VERSION = 1
-
 #: Per-op argument positions whose constant values are part of the
 #: shape (object names and type names), not runtime parameters.
 STRUCTURAL_ARGS = {
@@ -44,10 +42,9 @@ STRUCTURAL_ARGS = {
 class PlanShape:
     """Normalized identity of a MAL program."""
 
-    key: tuple          # hashable cache key
+    key: tuple          # hashable kernel key
     params: tuple       # literal values, in parameter-slot order
-    cracked: tuple      # (table, column) pairs read via sql.crackedselect
-    binds: tuple        # (table, column) pairs read via sql.bind
+    names: tuple        # dense variable id -> this program's name
 
 
 def _structural(op, position, value):
@@ -61,14 +58,13 @@ def normalize(program):
 
     Variable names are replaced by dense first-definition ids, so alpha-
     renamed plans (the compiler's fresh-variable counters) normalize to
-    the same key.  The parameter slot order is the deterministic walk
-    order (instruction by instruction, argument by argument) that
+    the same key; ``names`` maps each id back to this program's name.
+    The parameter slot order is the deterministic walk order
+    (instruction by instruction, argument by argument) that
     :mod:`repro.compile.codegen` uses to emit ``P[slot]`` references.
     """
     var_ids = {}
     params = []
-    cracked = []
-    binds = []
     items = []
     for instr in program.instructions:
         arg_keys = []
@@ -87,15 +83,9 @@ def normalize(program):
                 var_ids[name] = len(var_ids)
         items.append((instr.op, tuple(arg_keys),
                       tuple(var_ids[n] for n in instr.results)))
-        if instr.op == "sql.crackedselect":
-            cracked.append((instr.args[0].value, instr.args[1].value))
-        elif instr.op == "sql.bind":
-            binds.append((instr.args[0].value, instr.args[1].value))
     returns = tuple(var_ids.get(name, -1) for name in program.returns)
-    key = (COMPILER_VERSION, tuple(items), returns)
-    return PlanShape(key=key, params=tuple(params),
-                     cracked=tuple(sorted(set(cracked))),
-                     binds=tuple(sorted(set(binds))))
+    return PlanShape(key=(tuple(items), returns), params=tuple(params),
+                     names=tuple(var_ids))
 
 
 def param_slots(program):

@@ -92,6 +92,18 @@ class QueryContext:
         self._kill_plan = None      # (kind, hit number, site or None)
         self.killed_by = None       # reason token once a kill fired
 
+    @classmethod
+    def limited(cls, deadline=None, memory_budget=None, tenant=None,
+                accountant=None):
+        """A context for one statement under these limits, or None when
+        there is nothing to govern: no deadline, no memory budget and
+        no accountant."""
+        if deadline is None and memory_budget is None and \
+                accountant is None:
+            return None
+        return cls(deadline=deadline, memory_budget=memory_budget,
+                   tenant=tenant, accountant=accountant)
+
     # -- arming ----------------------------------------------------------------
 
     def cancel(self, note=None):

@@ -130,13 +130,14 @@ class ParallelSelectExecutor:
             compile_select(catalog, select)
             return compile_select(catalog, part, orders)
 
-        program, names = db._plan(part, "select", build)
+        program, _, shape = db._plan(part, "select", build)
         visible = catalog.tid(first).tail
 
         def run(ctx, morsel):
             view = _RangeView(catalog, first,
                               visible[morsel.start:morsel.stop])
-            out = db._run_program(program, view, context=self.governance,
+            out = db._run_program(program, view, shape,
+                                  context=self.governance,
                                   tracer=ctx.tracer, hierarchy=ctx.hierarchy)
             return db._result_bats(program, out)
 

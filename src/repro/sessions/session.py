@@ -290,7 +290,9 @@ class Session:
                                            statement.value)
             setattr(self, statement.name, limit)
             return None
-        context = self._make_context()
+        context = QueryContext.limited(
+            self.deadline, self.memory_budget, tenant=self.tenant,
+            accountant=self._manager.accountant)
         try:
             return self._run_statement(statement, sql, workers, context)
         except GovernanceError as exc:
@@ -315,18 +317,6 @@ class Session:
         return result
 
     # -- governance --------------------------------------------------------------
-
-    def _make_context(self):
-        """A per-statement governance context, or None when the
-        session has no limits and the manager no accountant."""
-        manager = self._manager
-        if self.deadline is None and self.memory_budget is None \
-                and manager.accountant is None:
-            return None
-        return QueryContext(deadline=self.deadline,
-                            memory_budget=self.memory_budget,
-                            tenant=self.tenant,
-                            accountant=manager.accountant)
 
     def _governed(self, exc):
         """Map a governed kill to a retryable session outcome: record

@@ -28,7 +28,7 @@ from repro.core.bat import BAT
 from repro.datacyclotron.link import SimulatedLink
 from repro.faults import NO_FAULTS
 from repro.governance.breaker import CircuitBreaker
-from repro.governance.context import CHECK_SCATTER
+from repro.governance.context import CHECK_SCATTER, QueryContext
 from repro.governance.errors import GovernanceError
 from repro.mal.optimizer import DEFAULT_PIPELINE
 from repro.observability.tracer import NO_TRACE
@@ -347,7 +347,7 @@ class ShardedDatabase:
         else:
             result = fn()
         reply_rows = len(result) if isinstance(result, ResultSet) else 0
-        reply_size = _payload_size(result.rows()) \
+        reply_size = _payload_size(result.bats()) \
             if isinstance(result, ResultSet) else _payload_size(result)
         self._send(resp, "ack", reply_size)
         self.stats.shipped_rows += reply_rows
@@ -442,16 +442,6 @@ class ShardedDatabase:
 
     # -- statement routing ------------------------------------------------------
 
-    def _make_context(self):
-        """An owned QueryContext from the coordinator's governance
-        defaults, or None when none are set."""
-        if self.default_deadline is None and \
-                self.default_memory_budget is None:
-            return None
-        from repro.governance.context import QueryContext
-        return QueryContext(deadline=self.default_deadline,
-                            memory_budget=self.default_memory_budget)
-
     def execute(self, sql, workers=None, context=None):
         """Execute one statement across the shards (autocommit).
 
@@ -465,7 +455,8 @@ class ShardedDatabase:
         self.stats.statements += 1
         owned = None
         if context is None:
-            context = owned = self._make_context()
+            context = owned = QueryContext.limited(
+                self.default_deadline, self.default_memory_budget)
         try:
             if not self.tracer.enabled:
                 return self._execute_statement(statement, workers,

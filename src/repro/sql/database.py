@@ -198,7 +198,7 @@ class Database:
         # only (on the compiled path it loses to a fused scan).
         self.default_compile = (recycler is None
                                 and pipeline is not CRACKING_PIPELINE)
-        self.plan_compiler = PlanCompiler(self)
+        self.plan_compiler = PlanCompiler(self, self.statement_cache.kernels)
         self.last_parallel = None  # ParallelResult of the latest SELECT
         # Query governance (repro.governance): session-level defaults,
         # set by the SET deadline / SET memory_budget pragmas.  When
@@ -238,18 +238,9 @@ class Database:
 
     def _schema_changed(self):
         """The one invalidation call: the schema changed, so every
-        cached statement, plan and compiled kernel is suspect."""
+        cached statement, plan and compiled kernel (and every rejected
+        verdict) is suspect."""
         self.statement_cache.clear()
-        self.plan_compiler.bump_schema()
-
-    def _make_context(self):
-        """An owned QueryContext from the session defaults, or None
-        when no governance is configured."""
-        if self.default_deadline is None and \
-                self.default_memory_budget is None:
-            return None
-        return QueryContext(deadline=self.default_deadline,
-                            memory_budget=self.default_memory_budget)
 
     def execute(self, sql, workers=None, context=None):
         """Execute one SQL statement (autocommit).
@@ -273,7 +264,8 @@ class Database:
         from repro.governance.errors import GovernanceError
         owned = None
         if context is None:
-            context = owned = self._make_context()
+            context = owned = QueryContext.limited(
+                self.default_deadline, self.default_memory_budget)
         try:
             if not self.tracer.enabled:
                 return self._execute_statement(sql, workers, context)
@@ -526,14 +518,16 @@ class Database:
     # -- internals shared with Transaction ----------------------------------------
 
     def _plan(self, statement, role, build):
-        """``(optimized program, output names)`` of one planned
+        """``(optimized program, output names, shape)`` of one planned
         statement (``role`` "select", "where" or "update").
 
         A statement parsed through the statement cache carries
-        ``params``: its plan comes from the cache when one fits its
-        key, literal values and conjunct order, else ``build(orders)``
-        compiles it and the optimized result is filed.  Failures are
-        never filed.
+        ``params``: its plan and kernel identity (a
+        :class:`~repro.compile.shapes.PlanShape`) come from the cache
+        when one fits its key, literal values and conjunct order, else
+        ``build(orders)`` compiles it and the optimized result is
+        filed.  Failures are never filed.  A statement without
+        ``params`` is planned afresh, its shape None.
         """
         params = statement.params
         if params is not None:
@@ -545,26 +539,28 @@ class Database:
         orders = []
         program, names = build(orders)
         program = self.pipeline.optimize(program)
-        if params is not None:
-            self.statement_cache.store(role, params, program, names, orders)
-        return program, names
+        if params is None:
+            return program, names, None
+        return self.statement_cache.store(role, params, program, names,
+                                          orders)
 
     def _run_select(self, statement, view, context=None):
-        program, names = self._plan(
+        program, names, shape = self._plan(
             statement, "select",
             lambda orders: compile_select(self.catalog, statement, orders))
-        out = self._run_program(program, view, context=context)
+        out = self._run_program(program, view, shape, context=context)
         return self._materialize_result(program, names, out)
 
-    def _run_program(self, program, view, context=None, tracer=None,
-                     hierarchy=None):
+    def _run_program(self, program, view, shape=None, context=None,
+                     tracer=None, hierarchy=None):
         """``{return var: value}`` of a planned program run against
         ``view`` (the catalog, a transaction snapshot or a morsel's
         range view): the one run path of every SELECT, UPDATE-rows and
         WHERE-candidates plan.  Compiled unless ``SET compile = false``,
-        with per-fragment fallback to the interpreter.  A ``tracer`` or
-        ``hierarchy`` gives the run its own span stream and simulated
-        caches."""
+        with per-fragment fallback to the interpreter; ``shape`` is the
+        plan's kernel identity from :meth:`_plan` (None: normalized
+        per run).  A ``tracer`` or ``hierarchy`` gives the run its own
+        span stream and simulated caches."""
         tracer = self.tracer if tracer is None else tracer
         if view is self.catalog and tracer is self.tracer \
                 and hierarchy is None:
@@ -577,7 +573,7 @@ class Database:
         try:
             if self.default_compile:
                 out = self.plan_compiler.try_run(program, view,
-                                                 interpreter,
+                                                 interpreter, shape,
                                                  tracer=tracer,
                                                  hierarchy=hierarchy)
                 if out is not None:
@@ -616,12 +612,12 @@ class Database:
 
     def _eval_where(self, statement, view, context=None):
         """Visible oids of a DELETE/UPDATE's table matching its WHERE."""
-        program, _ = self._plan(
+        program, _, shape = self._plan(
             statement, "where",
             lambda orders: (compile_where_candidates(
                 self.catalog, statement.table, statement.where, orders),
                 None))
-        out = self._run_program(program, view, context=context)
+        out = self._run_program(program, view, shape, context=context)
         return out[program.returns[0]].decoded()
 
     def _eval_update_rows(self, table, statement, view, context=None):
@@ -637,8 +633,8 @@ class Database:
             select = Select(items=items, table=TableRef(table.name),
                             where=statement.where)
             return compile_select(self.catalog, select, orders)
-        program, names = self._plan(statement, "update", build)
-        out = self._run_program(program, view, context=context)
+        program, names, shape = self._plan(statement, "update", build)
+        out = self._run_program(program, view, shape, context=context)
         return self._materialize_result(program, names, out).rows()
 
     def _reject_view_dml(self, table_name):

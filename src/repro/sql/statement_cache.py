@@ -9,11 +9,14 @@ here under ``(role, params.key)`` — the role tells a SELECT from the
 WHERE candidates of a DELETE/UPDATE and from UPDATE's row projection.
 
 A plan is compiled from a statement whose literals carry slots, so its
-constants do too (:class:`~repro.mal.ast.Const` ``slot``).  Rebinding
-replaces exactly those constants with the new literal vector — no
-compile, optimize or normalize — and derives the kernel cache's
-:class:`~repro.compile.shapes.PlanShape` from the template's.  An exact
-repeat (same key, same values) gets the very program it got before.
+constants do too (:class:`~repro.mal.ast.Const` ``slot``).  Each plan
+is filed with its kernel identity, a
+:class:`~repro.compile.shapes.PlanShape` (shape key, parameter vector,
+dense variable names) normalized once, plus the map from literal slots
+to the parameter vector.  Rebinding replaces exactly the slotted
+constants and parameters with the new literal vector — no compile,
+optimize or normalize.  An exact repeat (same key, same values) gets
+the very program and shape it got before.
 
 Parameter-sensitive plans ("Query Optimization in the Wild") stay
 right:
@@ -25,13 +28,16 @@ right:
   merged with one by CSE) is kept only for the literal values it was
   built from.
 
-Every map is a bounded LRU.  ``Database._schema_changed`` clears the
-whole cache together with the compiled-kernel epoch.
+The engine's compiled kernels live here too (``kernels``: shape key ->
+kernel or rejected verdict, filled by
+:class:`~repro.compile.PlanCompiler`).  Every map is a bounded LRU;
+``Database._schema_changed`` clears them all.
 """
 
 import dataclasses
 from collections import OrderedDict
 
+from repro.compile.shapes import normalize, param_slots
 from repro.mal.ast import DERIVED, Const, MALInstruction, MALProgram
 from repro.sql.compiler import selectivity_order
 
@@ -56,19 +62,23 @@ class _LRU(OrderedDict):
 
 
 class _Plan:
-    """An optimized program whose slotted constants take each
-    execution's literal values."""
+    """An optimized program and its shape, whose slotted constants and
+    parameters take each execution's literal values."""
 
     def __init__(self, program, names, sites):
         self.program = program
         self.names = names
         self.sites = sites      # [(instruction index, ((arg, slot), ...))]
-        self._params = None     # [(PlanShape param index, slot)]
+        self.shape = normalize(program)
+        index = param_slots(program)
+        self.params = [(index[(i, position)], slot)  # (param, slot)
+                       for i, slots in sites for position, slot in slots]
 
     def bind(self, values):
+        """``(program, names, shape)`` for one literal vector."""
         template = self.program
         if not self.sites:
-            return template, self.names
+            return template, self.names, self.shape
         instructions = list(template.instructions)
         for index, slots in self.sites:
             instr = instructions[index]
@@ -77,28 +87,12 @@ class _Plan:
                 args[position] = Const(values[slot], slot)
             instructions[index] = MALInstruction(instr.results, instr.op,
                                                  args, instr.recycle)
-        program = MALProgram(instructions, template.returns, template.name)
-        shape = getattr(template, "_compile_shape", None)
-        if shape is not None:
-            # The plan compiler normalized the template: reuse its shape
-            # with these values instead of normalizing again.
-            program._compile_shape = self._shape(shape, values)
-            names = getattr(template, "_compile_var_names", None)
-            if names is not None:
-                program._compile_var_names = names
-        return program, self.names
-
-    def _shape(self, shape, values):
-        if self._params is None:
-            from repro.compile.shapes import param_slots
-            index = param_slots(self.program)
-            self._params = [(index[(i, position)], slot)
-                            for i, slots in self.sites
-                            for position, slot in slots]
-        params = list(shape.params)
-        for param, slot in self._params:
+        params = list(self.shape.params)
+        for param, slot in self.params:
             params[param] = values[slot]
-        return dataclasses.replace(shape, params=tuple(params))
+        return (MALProgram(instructions, template.returns, template.name),
+                self.names,
+                dataclasses.replace(self.shape, params=tuple(params)))
 
 
 class _Entry:
@@ -141,6 +135,7 @@ class StatementCache:
         self.templates = _LRU()  # (shape, their values) -> binder
         self._entries = _LRU()   # (role, key) -> _Entry
         self._bound = _LRU()     # (role, key, values) -> plan
+        self.kernels = _LRU()    # shape key -> compiled kernel or verdict
 
     def __len__(self):
         """Plans cached (each exact literal vector's program counts)."""
@@ -148,11 +143,12 @@ class StatementCache:
 
     def clear(self):
         for part in (self.shapes, self.templates, self._entries,
-                     self._bound):
+                     self._bound, self.kernels):
             part.clear()
 
     def plan(self, role, params, catalog):
-        """``(program, output names)`` cached for a statement, or None.
+        """``(program, output names, shape)`` cached for a statement, or
+        None.
 
         ``catalog`` answers the selectivity samples when the plan's
         conjunct order depends on the literal values.
@@ -171,16 +167,20 @@ class StatementCache:
         return found
 
     def store(self, role, params, program, names, orders):
-        """File a freshly optimized plan.  ``orders`` is what the
-        compiler reported of its conjunct ordering decisions."""
-        self._bound.put((role, params.key, params.values), (program, names))
+        """File a freshly optimized plan; returns it as :meth:`plan`
+        does.  ``orders`` is what the compiler reported of its conjunct
+        ordering decisions."""
         sites = _slot_sites(program)
         if sites is None:
-            return
-        key = (role, params.key)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = _Entry(orders)
-            self._entries.put(key, entry)
-        entry.plans[tuple(order for _, order in orders)] = \
-            _Plan(program, names, sites)
+            found = (program, names, normalize(program))
+        else:
+            plan = _Plan(program, names, sites)
+            found = (program, names, plan.shape)
+            key = (role, params.key)
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = _Entry(orders)
+                self._entries.put(key, entry)
+            entry.plans[tuple(order for _, order in orders)] = plan
+        self._bound.put((role, params.key, params.values), found)
+        return found

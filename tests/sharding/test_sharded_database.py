@@ -209,6 +209,20 @@ class TestObservability:
         assert db.stats.shipped_rows == before[0] + 40
         assert db.stats.shipped_bytes > before[1]
 
+    def test_a_legs_reply_ships_its_result_bats_bytes(self):
+        from repro.observability.tracer import Tracer
+        tracer = Tracer()
+        db = _load(ShardedDatabase(n_shards=2, tracer=tracer))
+        sql = "SELECT k, v, s FROM t WHERE k = 7"   # pruned: one leg
+        db.query(sql)
+        owner = db.shards[db.shard_map.shard_of(7)].db
+        expected = sum(
+            bat.tail_nbytes + (bat.heap.nbytes if bat.heap is not None
+                               else 0)
+            for bat in owner.execute(sql).bats())
+        assert tracer.roots[-1].inclusive("shard_shipped_bytes") \
+            == expected > 0
+
 
 class TestReplicatedShards:
     def test_answers_survive_a_shard_primary_failover(self):
