@@ -58,6 +58,14 @@ class StringHeap:
     def get_many(self, offsets):
         return [self.get(o) for o in np.asarray(offsets)]
 
+    def nbytes_of(self, offsets):
+        """Bytes of the distinct strings ``offsets`` reference, each
+        with its NUL (nil references none)."""
+        offsets = np.asarray(offsets)
+        return sum(self._data.index(b"\0", offset) - offset + 1
+                   for offset in np.unique(
+                       offsets[offsets != self.NIL_OFFSET]).tolist())
+
     def __contains__(self, value):
         return value in self._intern
 

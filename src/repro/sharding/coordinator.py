@@ -101,13 +101,14 @@ class ShardingStats:
 
 
 def _payload_size(payload):
-    """Byte estimate of one link message: columns (a view's part
-    columns) by their tails' and string heaps' bytes, anything else by
-    its printed form."""
+    """Byte estimate of one link message: columns (a reply's BATs, a
+    view's part columns) by their tails' bytes plus the distinct heap
+    strings those tails reference, anything else by its printed form."""
     if isinstance(payload, list) and payload and \
             all(isinstance(column, BAT) for column in payload):
         return sum(column.tail_nbytes +
-                   (column.heap.nbytes if column.heap is not None else 0)
+                   (column.heap.nbytes_of(column.tail)
+                    if column.heap is not None else 0)
                    for column in payload)
     return len(repr(payload))
 

@@ -11,9 +11,11 @@ follow standard precedence: OR < AND < NOT < comparison < additive <
 multiplicative < unary minus.
 
 :func:`parse_sql` with a statement cache parses each literal-free shape
-once and binds every execution's literals into that parse.
+once and binds every execution's literals into that parse; an INSERT's
+VALUES rows come straight from one lift pass.
 """
 
+import re
 from dataclasses import fields, is_dataclass
 
 from repro.sql.ast import (
@@ -24,7 +26,8 @@ from repro.sql.ast import (
     TableRef, UnaryOp, Update,
 )
 from repro.sql.lexer import (
-    END, LITERALS, NUMBER_MARK, STRING_MARK, SQLSyntaxError, lift, tokenize,
+    END, LITERALS, NUMBER_MARK, STRING_MARK, SQLSyntaxError, lift,
+    lifted_rows, tokenize,
 )
 
 _TYPE_KEYWORDS = frozenset([
@@ -32,9 +35,13 @@ _TYPE_KEYWORDS = frozenset([
     "string", "boolean", "bool", "real", "float", "double",
 ])
 
-#: Longer texts bypass the statement cache: bulk-load INSERTs would
-#: only pin their ASTs in memory.
+#: Longer texts are lifted, not cached: a bulk-load INSERT's shape
+#: would only pin memory.
 MAX_CACHED_TEXT = 4096
+
+#: An INSERT's head: the text through its first VALUES word, holding
+#: no string (the head is parsed apart from its rows).
+_INSERT_HEAD = re.compile(r"\s*(?ai:insert)\b[^'\x00\x01]*?\b(?ai:values)\b")
 
 
 class _Parser:
@@ -50,7 +57,6 @@ class _Parser:
                 if token.kind in LITERALS:
                     self.slots[token.position] = len(self.slots)
         self.structural = set()  # slots whose value shaped the parse
-        self.row_slots = []      # (row, column, slot, negated) per VALUES
 
     # -- token plumbing ----------------------------------------------------
 
@@ -67,6 +73,13 @@ class _Parser:
         if self.peek().matches(kind, value):
             return self.advance()
         return None
+
+    def _comma_list(self, item):
+        """``item()`` once, then again after each comma."""
+        items = [item()]
+        while self.accept("op", ","):
+            items.append(item())
+        return items
 
     def expect(self, kind, value=None):
         token = self.accept(kind, value)
@@ -187,43 +200,37 @@ class _Parser:
         return DropMaterializedView(name)
 
     def insert(self):
+        table, columns = self.insert_head()
+        rows = self._comma_list(self._value_row)
+        self.accept("op", ";")
+        self.expect(END)
+        return Insert(table, rows, columns)
+
+    def insert_head(self):
+        """``INSERT INTO t [(columns)] VALUES``: ``(table, columns)``."""
         self.expect("keyword", "insert")
         self.expect("keyword", "into")
         table = self.expect("ident").value
         columns = None
         if self.accept("op", "("):
-            columns = [self.expect("ident").value]
-            while self.accept("op", ","):
-                columns.append(self.expect("ident").value)
+            columns = self._comma_list(lambda: self.expect("ident").value)
             self.expect("op", ")")
         self.expect("keyword", "values")
-        rows = [self._value_row(0)]
-        while self.accept("op", ","):
-            rows.append(self._value_row(len(rows)))
-        self.accept("op", ";")
-        self.expect(END)
-        return Insert(table, rows, columns)
+        return table, columns
 
-    def _value_row(self, row):
+    def _value_row(self):
         self.expect("op", "(")
-        values = [self._literal_value(row, 0)]
-        while self.accept("op", ","):
-            values.append(self._literal_value(row, len(values)))
+        values = self._comma_list(self._literal_value)
         self.expect("op", ")")
         return tuple(values)
 
-    def _literal_value(self, row=None, column=None, negated=False):
-        """A literal value (INSERT VALUES, SET).  ``row``/``column``
-        place an INSERT value; any other use shapes the statement, so a
-        slotted parse marks its slot structural."""
+    def _literal_value(self):
+        """A literal value (INSERT VALUES, SET); a slotted parse marks
+        its slot structural, as the value shapes the statement."""
         token = self.advance()
         if token.kind == "number" or token.kind == "string":
             if self.slots:
-                slot = self.slots[token.position]
-                if row is None:
-                    self.structural.add(slot)
-                else:
-                    self.row_slots.append((row, column, slot, negated))
+                self.structural.add(self.slots[token.position])
             return token.value
         if token.matches("keyword", "true"):
             return True
@@ -232,8 +239,7 @@ class _Parser:
         if token.matches("keyword", "null"):
             return None
         if token.matches("op", "-"):
-            inner = self._literal_value(row, column, not negated)
-            return -inner
+            return -self._literal_value()
         raise SQLSyntaxError("expected literal, found {0!r}".format(
             token.value))
 
@@ -252,9 +258,7 @@ class _Parser:
         self.expect("keyword", "update")
         table = self.expect("ident").value
         self.expect("keyword", "set")
-        assignments = [self._assignment()]
-        while self.accept("op", ","):
-            assignments.append(self._assignment())
+        assignments = self._comma_list(self._assignment)
         where = None
         if self.accept("keyword", "where"):
             where = self.expression()
@@ -272,9 +276,7 @@ class _Parser:
     def select(self, nested=False):
         self.expect("keyword", "select")
         distinct = bool(self.accept("keyword", "distinct"))
-        items = [self._select_item()]
-        while self.accept("op", ","):
-            items.append(self._select_item())
+        items = self._comma_list(self._select_item)
         table = None
         joins = []
         if self.accept("keyword", "from"):
@@ -298,18 +300,14 @@ class _Parser:
         group_by = []
         if self.accept("keyword", "group"):
             self.expect("keyword", "by")
-            group_by.append(self.expression())
-            while self.accept("op", ","):
-                group_by.append(self.expression())
+            group_by = self._comma_list(self.expression)
         having = None
         if self.accept("keyword", "having"):
             having = self.expression()
         order_by = []
         if self.accept("keyword", "order"):
             self.expect("keyword", "by")
-            order_by.append(self._order_item())
-            while self.accept("op", ","):
-                order_by.append(self._order_item())
+            order_by = self._comma_list(self._order_item)
         limit = None
         if self.accept("keyword", "limit"):
             token = self.expect("number")
@@ -402,30 +400,17 @@ class _Parser:
             hi = self._additive()
             return BinOp("and", BinOp(">=", left, lo), BinOp("<=", left, hi))
         if token.matches("keyword", "in"):
-            self.advance()
-            self.expect("op", "(")
-            values = [self.expression()]
-            while self.accept("op", ","):
-                values.append(self.expression())
-            self.expect("op", ")")
-            disjunction = BinOp("=", left, values[0])
-            for value in values[1:]:
-                disjunction = BinOp("or", disjunction,
-                                    BinOp("=", left, value))
-            return disjunction
+            return self._comparison_in_tail(left)
         if token.matches("keyword", "not") and \
                 self.peek(1).matches("keyword", "in"):
             self.advance()
-            inner = self._comparison_in_tail(left)
-            return UnaryOp("not", inner)
+            return UnaryOp("not", self._comparison_in_tail(left))
         return left
 
     def _comparison_in_tail(self, left):
         self.expect("keyword", "in")
         self.expect("op", "(")
-        values = [self.expression()]
-        while self.accept("op", ","):
-            values.append(self.expression())
+        values = self._comma_list(self.expression)
         self.expect("op", ")")
         disjunction = BinOp("=", left, values[0])
         for value in values[1:]:
@@ -496,10 +481,7 @@ class _Parser:
         if self.accept("op", "*"):
             args = (Star(),)
         else:
-            args = [self.expression()]
-            while self.accept("op", ","):
-                args.append(self.expression())
-            args = tuple(args)
+            args = tuple(self._comma_list(self.expression))
         self.expect("op", ")")
         return FuncCall(name, args, distinct)
 
@@ -507,26 +489,57 @@ class _Parser:
 def parse_sql(text, cache=None):
     """Parse one SQL statement into its AST node.
 
-    With a :class:`~repro.sql.statement_cache.StatementCache` the
-    number and string literals are lifted out of the text in one pass
-    (:func:`~repro.sql.lexer.lift`); the literal-free shape is tokenized
-    and parsed the first time it is seen (the lifted values checked
-    against the tokens then), and every execution binds its own literal
-    vector into that parse.  SELECT, DELETE and UPDATE come back with
-    ``params`` set — the key their cached plans live under.  A text
-    holding a shape's literal marks never passes for that shape: it is
-    tokenized, and rejected, like any other.
+    An ``INSERT ... VALUES`` text, at any length, is lifted
+    (:func:`~repro.sql.lexer.lift`) in one pass.  Its head ``INSERT INTO
+    t [(columns)] VALUES`` is tokenized and parsed alone (once per shape
+    up to ``MAX_CACHED_TEXT``); when the tail is rows of literal items
+    its rows are grouped straight from the lifted values, with no token
+    or AST node per value.  Any other INSERT text is tokenized, and
+    parsed or rejected, as a whole.
+
+    With a :class:`~repro.sql.statement_cache.StatementCache` other
+    texts up to ``MAX_CACHED_TEXT`` are lifted too: the literal-free
+    shape is tokenized and parsed the first time it is seen (the lifted
+    values checked against the tokens then), and every execution binds
+    its own literal vector into that parse.  SELECT, DELETE and UPDATE
+    come back with ``params`` set — the key their cached plans live
+    under.  A text holding a shape's literal marks never passes for
+    that shape: it is tokenized, and rejected, like any other.
 
     A PROFILE statement keeps ``text`` for its query span.
     """
-    if cache is None or len(text) > MAX_CACHED_TEXT \
-            or NUMBER_MARK in text or STRING_MARK in text:
+    marked = NUMBER_MARK in text or STRING_MARK in text
+    head = None if marked else _INSERT_HEAD.match(text)
+    if head is not None:
+        statement = _parse_insert(cache, text, head.group())
+    elif marked or cache is None or len(text) > MAX_CACHED_TEXT:
         statement = _Parser(tokenize(text)).parse_statement()
     else:
         statement = _parse_shape(cache, text)
     if isinstance(statement, Profile):
         statement = Profile(statement.statement, text)
     return statement
+
+
+def _parse_insert(cache, text, head):
+    """An INSERT whose rows come straight from the lifted values, its
+    head parsed once per short shape; a text whose tail is not rows of
+    literals is tokenized, and parsed or rejected, whole."""
+    shape, values = lift(text)
+    cached = cache is not None and len(text) <= MAX_CACHED_TEXT
+    target = cache.templates.get(shape) if cached else None
+    rows = lifted_rows(shape[len(head):], values) \
+        if shape.startswith(head) else None
+    if rows is not None and target is None:
+        try:
+            target = _Parser(tokenize(head)).insert_head()
+        except SQLSyntaxError:
+            rows = None
+        if cached and rows is not None:
+            cache.templates.put(shape, target)
+    if rows is None:
+        return _Parser(tokenize(text)).parse_statement()
+    return Insert(target[0], rows, target[1])
 
 
 def _parse_shape(cache, text):
@@ -545,8 +558,7 @@ def _parse_shape(cache, text):
         node = parser.parse_statement()
         structural = tuple(sorted(parser.structural))
         shaping = tuple(values[i] for i in structural)
-        template = _insert_binder(node, parser.row_slots) \
-            if isinstance(node, Insert) else _binder(node)
+        template = _binder(node)
         if template is None:
             template = lambda values, reps, node=node: node  # noqa: E731
         cache.shapes.put(shape, structural)
@@ -583,15 +595,3 @@ def _binder(node):
     return lambda values, reps: build([
         child if part is None else part(values, reps)
         for part, child in parts])
-
-
-def _insert_binder(node, row_slots):
-    """An INSERT's binder: its VALUES rows with each execution's values
-    (negated where the text put a minus before one)."""
-    def bind(values, reps):
-        out = [list(row) for row in node.rows]
-        for row, column, slot, negated in row_slots:
-            out[row][column] = -values[slot] if negated else values[slot]
-        return Insert(node.table, [tuple(row) for row in out],
-                      node.columns)
-    return bind

@@ -132,7 +132,8 @@ class StatementCache:
 
     def __init__(self):
         self.shapes = _LRU()     # shape -> structural slots
-        self.templates = _LRU()  # (shape, their values) -> binder
+        self.templates = _LRU()  # (shape, their values) -> binder,
+        #                          and INSERT shape -> (table, columns)
         self._entries = _LRU()   # (role, key) -> _Entry
         self._bound = _LRU()     # (role, key, values) -> plan
         self.kernels = _LRU()    # shape key -> compiled kernel or verdict

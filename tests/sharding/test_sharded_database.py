@@ -214,14 +214,34 @@ class TestObservability:
         tracer = Tracer()
         db = _load(ShardedDatabase(n_shards=2, tracer=tracer))
         sql = "SELECT k, v, s FROM t WHERE k = 7"   # pruned: one leg
-        db.query(sql)
+        rows = db.query(sql)
         owner = db.shards[db.shard_map.shard_of(7)].db
-        expected = sum(
-            bat.tail_nbytes + (bat.heap.nbytes if bat.heap is not None
-                               else 0)
-            for bat in owner.execute(sql).bats())
+        strings = {s for _, _, s in rows if s is not None}
+        expected = sum(bat.tail_nbytes
+                       for bat in owner.execute(sql).bats()) + \
+            sum(len(s.encode("utf-8")) + 1 for s in strings)
         assert tracer.roots[-1].inclusive("shard_shipped_bytes") \
             == expected > 0
+
+    def test_a_string_reply_ships_only_the_strings_it_holds(self):
+        """Not the shard's whole string heap: each distinct string a
+        reply's offsets reference, once, with its NUL."""
+        from repro.observability.tracer import Tracer
+        tracer = Tracer()
+        db = ShardedDatabase(n_shards=2, tracer=tracer)
+        db.execute("CREATE TABLE t (k BIGINT, s VARCHAR) PARTITION BY (k)")
+        db.execute("INSERT INTO t VALUES " + ", ".join(
+            "({0}, 'value {1}')".format(k, k % 1000) for k in range(10000)))
+        keys = [7, 1007, 2007, 3007]   # one string, 'value 7'
+        owners = {db.shard_map.shard_of(k) for k in keys}
+        for sql, expected in [
+                ("SELECT s FROM t WHERE k = 7", 8 + 8),
+                ("SELECT s FROM t WHERE k IN (7, 1007, 2007, 3007)",
+                 8 * len(keys) + 8 * len(owners)),
+                ("SELECT s FROM t WHERE k < 0", 0)]:
+            db.query(sql)
+            assert tracer.roots[-1].inclusive("shard_shipped_bytes") == \
+                expected, sql
 
 
 class TestReplicatedShards:
