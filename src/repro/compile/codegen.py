@@ -58,12 +58,15 @@ class VT:
       ``batref`` a bound BAT object (``sql.bind`` / ``sql.joinindex``)
     ``tid_pure`` marks position arrays provably sorted-unique subsets of
     a table's positions (``sql.tid`` lineage) — they unlock the
-    full-length dense fast path in the select helpers.
+    full-length dense fast path in the select helpers.  ``tid_of``
+    names the table of a ``sql.tid`` result itself: a select over it
+    is passed the table's visibility mask.
     """
 
     kind: str
     atom: object = None
     tid_pure: bool = False
+    tid_of: str = None
 
 
 @dataclass
@@ -154,7 +157,7 @@ def _infer(instr, argvts, consts, schema):
         return _values_of(vt)
 
     if op == "sql.tid":
-        return [VT("pos", OID, tid_pure=True)], True
+        return [VT("pos", OID, tid_pure=True, tid_of=consts[0])], True
     if op == "sql.bind":
         table, column = consts[0], consts[1]
         try:
@@ -397,6 +400,14 @@ class _Emitter:
             return "{0}.heap".format(self.bname(arg.name))
         return self.hname(arg.name)
 
+    def dense_args(self, cand_arg):
+        """A select helper's dense-path arguments for its candidate."""
+        cand = self.types[cand_arg.name]
+        out = ", dense_ok={0}".format(cand.tid_pure)
+        if cand.tid_of is not None:
+            out += ", visible=ctx.visible({0!r})".format(cand.tid_of)
+        return out
+
     # -- instruction emission -----------------------------------------------
 
     def emit(self, index, instr):
@@ -426,20 +437,18 @@ class _Emitter:
         elif op == "language.pass":
             self._emit_alias(index, instr)
         elif op == "algebra.select":
-            cand = self.types[a[2].name]
-            self.ln("{0} = rt.select_eq({1}, {2}, {3}, dense_ok={4})",
+            self.ln("{0} = rt.select_eq({1}, {2}, {3}{4})",
                     self.vname(out), self.bname(a[0].name),
                     self.value_expr(index, 1, a[1]),
-                    self.vname(a[2].name), cand.tid_pure)
+                    self.vname(a[2].name), self.dense_args(a[2]))
         elif op == "algebra.selectrange":
-            cand = self.types[a[5].name]
             self.ln("{0} = rt.select_range({1}, {2}, {3}, {4}, {5}, "
-                    "{6}, dense_ok={7})",
+                    "{6}{7})",
                     self.vname(out), self.bname(a[0].name),
                     self.value_expr(index, 1, a[1]),
                     self.value_expr(index, 2, a[2]),
                     repr(a[3].value), repr(a[4].value),
-                    self.vname(a[5].name), cand.tid_pure)
+                    self.vname(a[5].name), self.dense_args(a[5]))
         elif op == "algebra.selectmask":
             src = self.types[a[0].name]
             expr = "np.flatnonzero(np.asarray({0}, dtype=bool))".format(

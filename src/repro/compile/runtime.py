@@ -50,6 +50,11 @@ class FragmentContext:
         self._charge_read(bat)
         return bat.tail
 
+    def visible(self, table):
+        """The view's mask of ``sql.tid(table)`` (see :func:`select_eq`),
+        or None when the view has none to give."""
+        return self.catalog.visible(table)
+
     def count(self, table):
         return self.catalog.count(table)
 
@@ -125,14 +130,17 @@ def const_str(count, value):
 # selections (positions in, positions out)
 # ---------------------------------------------------------------------------
 
-def select_eq(bat, value, cand, dense_ok=False):
+def select_eq(bat, value, cand, dense_ok=False, visible=None):
     """``algebra.select``: candidates whose tail equals ``value``.
 
     ``dense_ok`` is set by codegen when ``cand`` is provably a
     sorted-unique subset of the table's positions (a ``sql.tid``
     lineage): a full-length candidate list is then exactly
     ``arange(n)`` and the per-conjunct gather can be skipped — the
-    specialization the generic operator cannot make.
+    specialization the generic operator cannot make.  ``visible`` is
+    given only when ``cand`` is a ``sql.tid`` result itself: the bool
+    mask of exactly ``cand``'s positions, so on a table with deletes
+    the full tail is compared and the hits are kept by their bit.
     """
     tail = bat.tail
     if bat.atom.varsized:
@@ -142,22 +150,41 @@ def select_eq(bat, value, cand, dense_ok=False):
         needle = offset
     else:
         needle = bat.atom.array([value])[0]
-    if dense_ok and not bat.hseqbase and len(cand) == len(tail):
-        return np.flatnonzero(tail == needle)
+    if _dense(bat, cand, dense_ok, visible):
+        return _visible_hits(tail == needle, cand, visible)
     pos = positions(bat, cand)
     return oids(bat, pos[tail[pos] == needle])
+
+
+def _dense(bat, cand, dense_ok, visible):
+    """Whether a select may compare ``bat``'s whole tail: ``cand`` is
+    all of its positions, or ``visible`` marks exactly ``cand``."""
+    if bat.hseqbase:
+        return False
+    n = len(bat.tail)
+    return (dense_ok and len(cand) == n) or \
+        (visible is not None and len(visible) == n)
+
+
+def _visible_hits(mask, cand, visible):
+    hits = np.flatnonzero(mask)
+    if visible is None or len(cand) == len(visible):
+        return hits
+    return hits[visible[hits]]
 
 
 #: ``algebra.selectrange``'s mask — the interpreter's own.
 mask_range = algebra.mask_range
 
 
-def select_range(bat, lo, hi, lo_incl, hi_incl, cand, dense_ok=False):
-    """``algebra.selectrange`` over an explicit candidate list."""
+def select_range(bat, lo, hi, lo_incl, hi_incl, cand, dense_ok=False,
+                 visible=None):
+    """``algebra.selectrange`` over an explicit candidate list
+    (``dense_ok`` and ``visible`` as for :func:`select_eq`)."""
     tail = bat.tail
-    if dense_ok and not bat.hseqbase and not bat.atom.varsized \
-            and len(cand) == len(tail):
-        return np.flatnonzero(mask_range(tail, lo, hi, lo_incl, hi_incl))
+    if not bat.atom.varsized and _dense(bat, cand, dense_ok, visible):
+        return _visible_hits(mask_range(tail, lo, hi, lo_incl, hi_incl),
+                             cand, visible)
     pos = positions(bat, cand)
     values = tail[pos]
     if bat.atom.varsized:

@@ -83,7 +83,7 @@ def save_database(db, directory):
         schema[name] = {
             "columns": [(c, table.atoms[c].name)
                         for c in table.column_names],
-            "deleted": sorted(table.deleted),
+            "deleted": sorted(table.deleted_oids.tolist()),
             "base_count": table.base_count,
         }
         for column in table.column_names:
@@ -103,11 +103,8 @@ def load_database(directory, mmap=True):
     for name, info in schema.items():
         table = db.catalog.create_table(
             name, [(c, t) for c, t in info["columns"]])
-        for column, _ in info["columns"]:
-            bat = load_bat(os.path.join(directory,
-                                        "{0}.{1}".format(name, column)),
-                           mmap=mmap)
-            table.columns[column] = bat
-        table.deleted = set(info["deleted"])
-        table.base_count = info["base_count"]
+        columns = {column: load_bat(
+            os.path.join(directory, "{0}.{1}".format(name, column)),
+            mmap=mmap) for column, _ in info["columns"]}
+        table.load_columns(columns, info["deleted"], info["base_count"])
     return db

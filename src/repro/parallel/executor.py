@@ -248,6 +248,13 @@ class _RangeView:
             return self.catalog.tid(table)
         return BAT(OID, self.oids, tsorted=True, tkey=True)
 
+    def visible(self, table):
+        """No mask for the restricted table: the catalog's marks every
+        morsel's rows, so its selects take the gather path."""
+        if table != self.table:
+            return self.catalog.visible(table)
+        return None
+
     def count(self, table):
         return len(self.tid(table))
 

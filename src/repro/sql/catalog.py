@@ -8,10 +8,14 @@ cheap snapshot isolation mechanism (only the delta BATs are copied)."
 
 Concretely, each column is one append-only BAT whose prefix of
 ``base_count`` rows is the merged *main* column and whose suffix is the
-insert delta; the delete delta is a set of deleted oids.  Appends only
-ever extend columns, so a snapshot is fully described by a row count and
-a copy of the deleted set — the cheap-snapshot property the paper claims
-(measured in experiment E14).
+insert delta.  The deleted-positions BAT is kept twice over, both
+updated in place by every write: a ``visible`` bool mask with one byte
+per physical row, and an append-only log of deleted oids in delete
+order.  With rows deleted, ``sql.tid`` is built from the mask once per
+table version.  Appends only ever extend columns and deletes only ever
+extend the log, so a snapshot is fully described by a row count and a
+log length — the cheap-snapshot property the paper claims (measured in
+experiment E14).
 """
 
 import numpy as np
@@ -28,6 +32,34 @@ def _converted(atom, values):
     except (TypeError, ValueError, OverflowError, RuntimeWarning):
         return None
     return array if array.shape == (len(values),) else None
+
+
+def candidate_list(oids):
+    """``oids`` (ascending, distinct) as a read-only candidate BAT."""
+    oids.flags.writeable = False
+    return BAT(OID, oids, tsorted=True, tkey=True)
+
+
+def _with_room(buffer, used, count):
+    """``buffer`` when it has room for ``count`` items, else a new one,
+    at least twice as large and filled with ones, holding its first
+    ``used`` items: grown by doubling, an append-only buffer is copied
+    rarely instead of on every write."""
+    if count <= len(buffer):
+        return buffer
+    grown = np.ones(max(2 * len(buffer), count), dtype=buffer.dtype)
+    grown[:used] = buffer[:used]
+    return grown
+
+
+def join_mapping(fk_values, pk_values, visible):
+    """Per fk value, the oid of the last pk row whose ``visible`` bit
+    is set and whose value is equal (keys are expected unique;
+    duplicates keep one), -1 for none: a join index's mapping."""
+    pk_list = pk_values.tolist()
+    lookup = {pk_list[oid]: oid for oid in np.flatnonzero(visible).tolist()}
+    return np.asarray([lookup.get(value, -1) for value in fk_values.tolist()],
+                      dtype=np.int64)
 
 
 class Table:
@@ -47,11 +79,21 @@ class Table:
         self.columns = {col_name: BAT.from_values([], atom=atom)
                         for col_name, atom in self.atoms.items()}
         self.base_count = 0
-        self.deleted = set()
         self.version = 0
+        self._reset_deleted(0)
+        self._tid = (None, None)    # (version, BAT)
         self.delete_log = []        # [(version after delete, frozenset oids)]
         self._delete_log_floor = 0  # snapshots older than this can't be answered
         self._crackers = {}
+
+    def _reset_deleted(self, count):
+        """Every one of ``count`` rows visible, none deleted.  ``_mask``
+        and ``_log`` have spare capacity that appends and deletes take
+        (the mask's all set); ``_visible`` is the mask's first
+        ``physical_count`` bits, ``_dead`` the log's used prefix (the
+        deleted oids in delete order)."""
+        self._mask = self._visible = np.ones(count, dtype=bool)
+        self._log = self._dead = np.empty(0, dtype=np.int64)
 
     @staticmethod
     def column_atoms(columns, partition_by=None):
@@ -79,7 +121,24 @@ class Table:
 
     @property
     def visible_count(self):
-        return self.physical_count - len(self.deleted)
+        return self.physical_count - len(self._dead)
+
+    @property
+    def visible(self):
+        """One bool per physical row, False at a deleted one.  Writes
+        update it in place; readers must not write it."""
+        return self._visible
+
+    @property
+    def deleted_oids(self):
+        """The deleted oids in delete order: an append-only log, so a
+        snapshot is its length.  Readers must not write it."""
+        return self._dead
+
+    @property
+    def deleted(self):
+        """The deleted oids as a set (a copy, for cold callers)."""
+        return set(self._dead.tolist())
 
     @property
     def delta_count(self):
@@ -102,27 +161,26 @@ class Table:
                 self.name, column))
         return self.columns[column]
 
-    def tid(self, physical_count=None, deleted=None):
-        """Visible row oids as a candidate list (``sql.tid``).
+    def tid(self):
+        """Visible row oids as a read-only candidate list (``sql.tid``).
 
-        ``physical_count`` and ``deleted`` let a snapshot restrict the
-        view to its frozen state.
+        With rows deleted it is built once per table version and shared
+        by every caller until the next write.  With none it is a fresh
+        ``arange``: holding one per table measured more peak memory and
+        slower appends than building it per call, and no faster reads.
         """
-        count = self.physical_count if physical_count is None \
-            else physical_count
-        dead = self.deleted if deleted is None else deleted
-        oids = np.arange(count, dtype=np.int64)
-        if dead:
-            mask = np.ones(count, dtype=bool)
-            dead_arr = np.fromiter((d for d in dead if d < count),
-                                   dtype=np.int64)
-            mask[dead_arr] = False
-            oids = oids[mask]
-        return BAT(OID, oids, tsorted=True, tkey=True)
+        if not len(self._dead):
+            return candidate_list(np.arange(self.physical_count,
+                                            dtype=np.int64))
+        version, bat = self._tid
+        if version != self.version:
+            bat = candidate_list(np.flatnonzero(self._visible))
+            self._tid = (self.version, bat)
+        return bat
 
     def row(self, oid):
         """Decoded values of one visible row (testing/debugging aid)."""
-        if oid in self.deleted or not 0 <= oid < self.physical_count:
+        if not 0 <= oid < self.physical_count or not self._visible[oid]:
             raise KeyError(oid)
         return tuple(self.columns[c].tail_at(oid) for c in self.column_names)
 
@@ -146,6 +204,9 @@ class Table:
             cracker = self._crackers.get(name)
             if cracker is not None:
                 cracker.insert(column_values)
+        count = first + len(rows)
+        self._mask = _with_room(self._mask, first, count)
+        self._visible = self._mask[:count]
         self.version += 1
         return list(range(first, first + len(rows)))
 
@@ -184,17 +245,34 @@ class Table:
             out.append(values)
         return by_column, out
 
+    def fresh_oids(self, oids):
+        """The distinct oids of ``oids`` that are stored and visible,
+        ascending: the rows :meth:`delete_oids` would delete."""
+        if not isinstance(oids, np.ndarray):
+            oids = np.fromiter(oids, dtype=np.int64)
+        oids = np.sort(oids.astype(np.int64, copy=False))
+        oids = oids[(oids >= 0) & (oids < self.physical_count)]
+        oids = oids[self._visible[oids]]
+        if len(oids) > 1:   # drop repeats (np.unique would import numpy.ma)
+            oids = oids[np.concatenate(([True], oids[1:] != oids[:-1]))]
+        return oids
+
     def delete_oids(self, oids):
-        """Mark rows deleted (the deleted-positions BAT of Section 3.2)."""
-        fresh = {int(o) for o in oids
-                 if 0 <= int(o) < self.physical_count
-                 and int(o) not in self.deleted}
-        self.deleted.update(fresh)
-        if fresh:
+        """Mark rows deleted (the deleted-positions BAT of Section 3.2);
+        returns how many were stored and visible.  Out-of-range and
+        already-deleted oids are ignored."""
+        fresh = self.fresh_oids(oids)
+        if len(fresh):
+            self._visible[fresh] = False
+            used = len(self._dead)
+            self._log = _with_room(self._log, used, used + len(fresh))
+            self._log[used:used + len(fresh)] = fresh
+            self._dead = self._log[:used + len(fresh)]
+            listed = fresh.tolist()
             for cracker in self._crackers.values():
-                cracker.delete(fresh)
+                cracker.delete(listed)
             self.version += 1
-            self.delete_log.append((self.version, frozenset(fresh)))
+            self.delete_log.append((self.version, frozenset(listed)))
             if len(self.delete_log) > 1024:
                 dropped_version, _ = self.delete_log.pop(0)
                 self._delete_log_floor = dropped_version
@@ -235,8 +313,8 @@ class Table:
             from repro.cracking import CrackedStore
             cracker = CrackedStore(self.columns[column].tail,
                                    merge_threshold=2048)
-            if self.deleted:
-                cracker.delete(self.deleted)
+            if len(self._dead):
+                cracker.delete(self._dead.tolist())
             self._crackers[column] = cracker
         oids = cracker.select_range(lo, hi, lo_incl, hi_incl)
         return BAT(OID, np.asarray(oids, dtype=np.int64), tsorted=True,
@@ -262,7 +340,8 @@ class Table:
             merged = old.fetch(keep)
             merged.heap = old.heap
             self.columns[name] = merged
-        self.deleted = set()
+        self._reset_deleted(len(keep))
+        self._tid = (None, None)
         self.base_count = len(keep)
         self._crackers = {}  # oids were renumbered: rebuild lazily
         self.version += 1
@@ -271,10 +350,21 @@ class Table:
         self.delete_log = []
         self._delete_log_floor = self.version
 
+    def load_columns(self, columns, deleted, base_count):
+        """Install stored state (a loaded database's): ``columns`` maps
+        each column name to its BAT, ``deleted`` lists deleted oids."""
+        self.columns = {name: columns[name] for name in self.column_names}
+        self._reset_deleted(self.physical_count)
+        self._log = self._dead = self.fresh_oids(deleted)
+        self._visible[self._dead] = False
+        self.base_count = base_count
+        self._crackers = {}
+        self.version += 1
+
     def __repr__(self):
         return "Table({0!r}, {1} rows visible, {2} delta, {3} deleted)".format(
             self.name, self.visible_count, self.delta_count,
-            len(self.deleted))
+            len(self._dead))
 
 
 class Catalog:
@@ -329,6 +419,11 @@ class Catalog:
     def tid(self, table):
         return self.get(table).tid()
 
+    def visible(self, table):
+        """The table's visibility mask: position ``p`` is set iff ``p``
+        is in :meth:`tid` (the compiled selects' dense path)."""
+        return self.get(table).visible
+
     def table_version(self, table):
         """Version token for recycler keys: changes on every write."""
         return ("v", self.get(table).version)
@@ -368,19 +463,7 @@ class Catalog:
         if cached is not None and cached[0] == fk.version and \
                 cached[1] == pk.version:
             return cached[2]
-        fk_values = fk.bind(fk_column).tail
-        pk_values = pk.bind(pk_column).tail
-        visible = np.ones(len(pk_values), dtype=bool)
-        if pk.deleted:
-            visible[np.fromiter(pk.deleted, dtype=np.int64)] = False
-        mapping = np.full(len(fk_values), -1, dtype=np.int64)
-        lookup = {}
-        for oid, value in enumerate(pk_values.tolist()):
-            if visible[oid]:
-                lookup[value] = oid  # last visible match wins (keys
-                # are expected unique; duplicates keep one)
-        for row, value in enumerate(fk_values.tolist()):
-            mapping[row] = lookup.get(value, -1)
-        bat = BAT(OID, mapping)
+        bat = BAT(OID, join_mapping(fk.bind(fk_column).tail,
+                                    pk.bind(pk_column).tail, pk.visible))
         self._join_cache[key] = (fk.version, pk.version, bat)
         return bat

@@ -680,13 +680,9 @@ class Database:
             watched = self.views.watching(op["table"])
             removed = []
             if watched and op["deletes"]:
-                # Capture doomed rows before delete_oids hides them,
-                # mirroring its freshness filter.
-                for oid in op["deletes"]:
-                    oid = int(oid)
-                    if 0 <= oid < table.physical_count \
-                            and oid not in table.deleted:
-                        removed.append(table.row(oid))
+                # Capture doomed rows before delete_oids hides them.
+                removed = [table.row(oid) for oid in
+                           table.fresh_oids(op["deletes"]).tolist()]
             appended = []
             if op["appends"]:
                 oids = table.append_rows(op["appends"])

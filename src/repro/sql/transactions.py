@@ -1,10 +1,11 @@
 """Snapshot-isolation transactions over delta BATs (Section 3.2).
 
-A transaction's snapshot of a table is just *(row count, copy of the
-deleted set)* — columns are append-only, so the first ``n`` rows never
-change and need not be copied.  "Only the delta BATs are copied."  The
-transaction's own writes are buffered privately (insert rows, deleted
-oids) and merged at commit:
+A transaction's snapshot of a table is just *(row count, delete-log
+length)* — columns and the table's log of deleted oids are both
+append-only, so the first ``n`` rows never change and the oids deleted
+since are the log's tail: nothing is copied.  The transaction's own
+writes are buffered privately (insert rows, deleted oids) and merged at
+commit:
 
 * appends always merge (they cannot conflict);
 * deletes/updates of shared rows conflict iff another writer committed
@@ -22,11 +23,16 @@ crash point; ``Database.recover()`` replays the log, so a crash
 anywhere leaves either the full commit or none of it.
 """
 
+import numpy as np
+
+from repro.core.atoms import OID
+from repro.core.bat import BAT
 from repro.faults import CrashError
 from repro.sql.ast import (
     Column, CreateMaterializedView, CreateTable, Delete,
     DropMaterializedView, Insert, Select, Update,
 )
+from repro.sql.catalog import candidate_list, join_mapping
 from repro.sql.parser import parse_sql
 
 
@@ -49,10 +55,11 @@ class Transaction:
     def __init__(self, database, pin=False):
         self._db = database
         self._catalog = database.catalog
-        self._snapshots = {}   # table name -> (count, deleted copy, version)
+        self._snapshots = {}   # table name -> (count, log length, version)
         self._appends = {}     # table name -> [row tuple in column order]
         self._deleted = {}     # table name -> set of oids
         self._bind_cache = {}  # (table, column) -> (n appends, BAT)
+        self._tid_cache = {}   # table -> ((n appends, n deleted), mask, tid)
         self.closed = False
         self.outcome = None
         # LSN stamps for the session layer: the snapshot is as-of
@@ -78,7 +85,8 @@ class Transaction:
         snap = self._snapshots.get(name)
         if snap is None:
             table = self._catalog.get(name)
-            snap = (table.physical_count, set(table.deleted), table.version)
+            snap = (table.physical_count, len(table.deleted_oids),
+                    table.version)
             self._snapshots[name] = snap
         return snap
 
@@ -116,13 +124,38 @@ class Transaction:
         self._bind_cache[key] = (len(appends), merged)
         return merged
 
-    def tid(self, table_name):
+    def _visibility(self, table_name):
+        """This transaction's [state key, mask, tid] of a table, built
+        once per state of its own writes."""
         self._check_open()
-        snap_count, snap_deleted, _ = self._snapshot(table_name)
+        snap_count, snap_log, _ = self._snapshot(table_name)
+        appends = len(self._appends.get(table_name, ()))
+        dead = self._deleted.get(table_name, ())
+        key = (appends, len(dead))
+        cached = self._tid_cache.get(table_name)
+        if cached is not None and cached[0] == key:
+            return cached
         table = self._catalog.get(table_name)
-        count = snap_count + len(self._appends.get(table_name, []))
-        dead = snap_deleted | self._deleted.get(table_name, set())
-        return table.tid(physical_count=count, deleted=dead)
+        mask = np.ones(snap_count + appends, dtype=bool)
+        mask[:snap_count] = table.visible[:snap_count]
+        later = table.deleted_oids[snap_log:]
+        mask[later[later < snap_count]] = True
+        if dead:
+            mask[np.fromiter(dead, dtype=np.int64)] = False
+        cached = self._tid_cache[table_name] = [key, mask, None]
+        return cached
+
+    def visible(self, table_name):
+        """The snapshot's visibility mask: the table's, with the oids
+        deleted after the snapshot set again, the own appends added and
+        the own deletes cleared."""
+        return self._visibility(table_name)[1]
+
+    def tid(self, table_name):
+        cached = self._visibility(table_name)
+        if cached[2] is None:
+            cached[2] = candidate_list(np.flatnonzero(cached[1]))
+        return cached[2]
 
     def count(self, table_name):
         return len(self.tid(table_name))
@@ -138,20 +171,9 @@ class Transaction:
 
     def join_index(self, fk_table, fk_column, pk_table, pk_column):
         """Join-index mapping computed against this snapshot's view."""
-        import numpy as np
-        from repro.core.atoms import OID
-        from repro.core.bat import BAT
-        fk_values = self.bind(fk_table, fk_column).tail
-        pk_values = self.bind(pk_table, pk_column).tail
-        visible = set(self.tid(pk_table).tail.tolist())
-        lookup = {}
-        for oid, value in enumerate(pk_values.tolist()):
-            if oid in visible:
-                lookup[value] = oid
-        mapping = np.asarray([lookup.get(v, -1)
-                              for v in fk_values.tolist()],
-                             dtype=np.int64)
-        return BAT(OID, mapping)
+        return BAT(OID, join_mapping(self.bind(fk_table, fk_column).tail,
+                                     self.bind(pk_table, pk_column).tail,
+                                     self.visible(pk_table)))
 
     def table_version(self, table_name):
         """Recycler key token: private to this transaction's state."""

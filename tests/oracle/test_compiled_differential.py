@@ -6,7 +6,9 @@ true``), and compiled+parallel — and
 all answers must agree with the row-at-a-time reference oracle as
 multisets.  The band rotates optimizer pipelines with the seed like the
 main differential band, so compiled kernels are exercised on cracked
-plans (``sql.crackedselect``) and under the recycler too.
+plans (``sql.crackedselect``) and under the recycler too.  A second
+band first runs generated DML scripts on the engine and the oracle, so
+the same queries also run over tables with deleted oids.
 
 An engagement guard asserts the compiler actually compiled a healthy
 share of the band: a regression that silently rejects every plan would
@@ -74,6 +76,55 @@ def test_compiled_legs_agree_with_oracle(seed):
 @pytest.mark.parametrize("seed", SEEDS[len(FAST_SEEDS):])
 def test_compiled_legs_agree_with_oracle_full(seed):
     _run_band(seed)
+
+
+#: DML scripts run before a holed band's queries; their case ids sit
+#: far above the query ids so no existing stream moves.
+DML_CASE_BASE = 1000
+DML_SCRIPTS = 4
+
+
+def _run_holed_band(seed):
+    """:func:`_run_band` on tables with holes: DML scripts (UPDATE is a
+    delete plus an append) run on the engine and the oracle first, so
+    the compiled selects run over ``sql.tid`` with deleted oids."""
+    generator = QueryGenerator(seed)
+    db, pipeline = _make_database(seed)
+    for statement in generator.setup_statements():
+        db.execute(statement)
+    oracle = ReferenceExecutor(
+        {name: (list(names), list(rows))
+         for name, (names, rows) in generator.reference_tables().items()})
+    for j in range(DML_SCRIPTS):
+        for sql in generator.gen_dml_script(case_id=DML_CASE_BASE + j):
+            db.execute(sql)
+            oracle.apply_dml(parse_sql(sql))
+    for i in range(QUERIES_PER_SEED):
+        sql = generator.gen_query(case_id=i)
+        label = "seed={0} pipeline={1} holed query#{2}: {3}".format(
+            seed, pipeline, i, sql)
+        expected = oracle.execute(parse_sql(sql))
+        db.execute("SET compile = false")
+        assert_same_rows(db.query(sql), expected,
+                         context="interpreted " + label)
+        db.execute("SET compile = true")
+        assert_same_rows(db.query(sql), expected,
+                         context="compiled " + label)
+        assert_same_rows(db.query(sql, workers=4), expected,
+                         context="compiled+parallel " + label)
+    return db
+
+
+def test_compiled_legs_agree_with_oracle_on_tables_with_holes():
+    holed = 0
+    for seed in FAST_SEEDS:
+        db = _run_holed_band(seed)
+        holed += sum(len(table.deleted_oids) > 0
+                     for table in db.catalog.tables.values())
+        assert db.plan_compiler.counters()["interpreted_fallbacks"] == 0, (
+            "seed={0}: a kernel raised where the interpreter did "
+            "not".format(seed))
+    assert holed >= len(FAST_SEEDS), "the DML scripts left few holes"
 
 
 def test_compiler_engages_on_the_band():
