@@ -16,6 +16,8 @@ interpreter; compiled execution is an optimization, never a
 correctness dependency.
 """
 
+import weakref
+
 import numpy as np
 
 from repro.compile import runtime as rt
@@ -44,10 +46,12 @@ class PlanCompiler:
 
     ``kernels`` is the store: a bounded map from a shape key to its
     :class:`~repro.compile.codegen.CompiledPlan` or :data:`REJECTED`.
-    The database owns it and empties it at every schema change."""
+    The database owns it and empties it at every schema change; the
+    compiler holds the database weakly, so a dropped database is freed
+    without the cycle collector."""
 
     def __init__(self, database, kernels, min_fragment_ops=MIN_FRAGMENT_OPS):
-        self.database = database
+        self.database = weakref.proxy(database)
         self.kernels = kernels
         self.min_fragment_ops = min_fragment_ops
         self.stats = {

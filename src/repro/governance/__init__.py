@@ -6,6 +6,8 @@ fault harness does not cover).
   deadline / cancel token / memory accountant, threaded cooperatively
   through the interpreter, compiled fragments, morsel workers,
   scatter legs, 2PC prepare and replication read routing.
+* :class:`~repro.governance.context.ExecOptions` — the four ``SET``
+  pragmas a front door holds, and the one rule that applies them.
 * :class:`~repro.governance.accountant.TenantAccountant` —
   cross-statement per-tenant memory budgets.
 * :class:`~repro.governance.breaker.CircuitBreaker` — per-link
@@ -22,7 +24,7 @@ from repro.governance.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.governance.context import (
     CHECK_FRAGMENT, CHECK_INTERP, CHECK_MORSEL, CHECK_PREPARE,
     CHECK_ROUTE, CHECK_SCATTER, CHECKPOINT_SITES, NO_GOVERNANCE,
-    CountingContext, QueryContext,
+    CountingContext, ExecOptions, QueryContext,
 )
 from repro.governance.errors import (
     DeadlineExceeded, GovernanceError, MemoryExceeded, QueryCancelled,
@@ -35,7 +37,7 @@ __all__ = [
     "CHECK_FRAGMENT", "CHECK_INTERP", "CHECK_MORSEL", "CHECK_PREPARE",
     "CHECK_ROUTE", "CHECK_SCATTER", "CHECKPOINT_SITES", "CLOSED",
     "CancellationOracle", "CircuitBreaker", "CountingContext",
-    "DeadlineExceeded", "GovernanceError", "HALF_OPEN",
+    "DeadlineExceeded", "ExecOptions", "GovernanceError", "HALF_OPEN",
     "MemoryExceeded", "NO_GOVERNANCE", "OPEN", "OracleViolation",
     "QueryCancelled", "QueryContext", "SweepReport", "TenantAccountant",
 ]

@@ -30,12 +30,17 @@ sits strictly before the point of no return of its layer.
 :data:`NO_GOVERNANCE` is the inert shared instance (the
 ``NO_FAULTS``/``NO_TRACE`` idiom): every hook defaults to it and pays
 one attribute test on the hot path.
+
+:class:`ExecOptions` is the one way statement options reach the
+engine, and :func:`run_governed` the one governed-statement sequence
+every front door (database, session, sharding coordinator) runs.
 """
 
 from collections import Counter
+from dataclasses import dataclass, replace
 
 from repro.governance.errors import (
-    DeadlineExceeded, MemoryExceeded, QueryCancelled,
+    DeadlineExceeded, GovernanceError, MemoryExceeded, QueryCancelled,
 )
 
 #: Canonical checkpoint site names, one per execution layer.
@@ -50,6 +55,46 @@ CHECKPOINT_SITES = (CHECK_INTERP, CHECK_FRAGMENT, CHECK_MORSEL,
                     CHECK_SCATTER, CHECK_PREPARE, CHECK_ROUTE)
 
 _KILL_KINDS = ("cancel", "deadline", "memory")
+
+
+@dataclass(frozen=True)
+class ExecOptions:
+    """The options a statement runs under, one per ``SET`` pragma:
+    morsel ``workers`` (1 is serial), ``compile`` (False pins the
+    interpreter), and the ``deadline`` / ``memory_budget`` limits an
+    owned :class:`QueryContext` gets (None: no limit)."""
+
+    workers: int = 1
+    compile: bool = True
+    deadline: int = None
+    memory_budget: int = None
+
+    #: The pragmas that govern whole statements: a session or a sharding
+    #: coordinator keeps them instead of passing them on.
+    LIMITS = ("deadline", "memory_budget")
+
+    def set(self, pragma):
+        """These options with one ``SET`` applied (anything with a
+        ``name`` and a ``value``); ValueError for a bad value or an
+        unknown name.  A limit of 0 clears it."""
+        name, value = pragma.name, pragma.value
+        count = isinstance(value, int) and not isinstance(value, bool)
+        if name == "workers":
+            if not count or value < 1:
+                raise ValueError("workers must be a positive integer, "
+                                 "got {0!r}".format(value))
+            return replace(self, workers=value)
+        if name == "compile":
+            if not isinstance(value, bool):
+                raise ValueError("SET compile needs true or false")
+            return replace(self, compile=value)
+        if name in self.LIMITS:
+            if not count or value < 0:
+                raise ValueError(
+                    "SET {0} needs a non-negative integer (0 clears)"
+                    .format(name))
+            return replace(self, **{name: value or None})
+        raise ValueError("unknown pragma {0!r}".format(name))
 
 
 class QueryContext:
@@ -93,16 +138,16 @@ class QueryContext:
         self.killed_by = None       # reason token once a kill fired
 
     @classmethod
-    def limited(cls, deadline=None, memory_budget=None, tenant=None,
-                accountant=None):
-        """A context for one statement under these limits, or None when
-        there is nothing to govern: no deadline, no memory budget and
-        no accountant."""
-        if deadline is None and memory_budget is None and \
-                accountant is None:
+    def limited(cls, options, tenant=None, accountant=None):
+        """A context for one statement under ``options``' limits, or
+        None when there is nothing to govern: no deadline, no memory
+        budget and no accountant."""
+        if options.deadline is None and options.memory_budget is None \
+                and accountant is None:
             return None
-        return cls(deadline=deadline, memory_budget=memory_budget,
-                   tenant=tenant, accountant=accountant)
+        return cls(deadline=options.deadline,
+                   memory_budget=options.memory_budget, tenant=tenant,
+                   accountant=accountant)
 
     # -- arming ----------------------------------------------------------------
 
@@ -234,6 +279,25 @@ class _NullContext(QueryContext):
 
 
 NO_GOVERNANCE = _NullContext()
+
+
+def run_governed(front, statement, context, options, tenant=None,
+                 accountant=None):
+    """``front._execute_statement(statement, context, options)``: without
+    a ``context``, under one it owns (built from the options' limits,
+    ``tenant`` and ``accountant``; released at the end), and with
+    ``front._governed(exc)`` told of every :class:`GovernanceError`."""
+    owned = None
+    if context is None:
+        context = owned = QueryContext.limited(options, tenant, accountant)
+    try:
+        return front._execute_statement(statement, context, options)
+    except GovernanceError as exc:
+        front._governed(exc)
+        raise
+    finally:
+        if owned is not None:
+            owned.release()
 
 
 class CountingContext(QueryContext):

@@ -13,12 +13,12 @@ from repro.replication.group import (
     ReplicationGroup, Session,
 )
 from repro.replication.log import (
-    LogEntry, NotPrimaryError, ReplicatedLog, entry_checksum,
+    LogEntry, NotPrimaryError, ReplicatedLog,
 )
 
 __all__ = [
     "ReplicationGroup", "Session", "Node", "FailoverEvent",
     "ReplicationError", "NoPrimaryError", "QuorumTimeout",
-    "ReplicatedLog", "LogEntry", "NotPrimaryError", "entry_checksum",
+    "ReplicatedLog", "LogEntry", "NotPrimaryError",
     "ChaosReport", "chaos_sweep", "run_chaos_schedule",
 ]

@@ -48,15 +48,14 @@ With zero replicas the group degrades to exactly the single-node
 the primary, and failover never triggers.
 """
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.datacyclotron.link import SimulatedLink
 from repro.faults import NO_FAULTS, CrashError, FaultInjector
 from repro.governance.context import CHECK_ROUTE
 from repro.observability.tracer import NO_TRACE
-from repro.replication.log import (
-    LogEntry, NotPrimaryError, ReplicatedLog, entry_checksum, record_size,
-)
+from repro.replication.log import NotPrimaryError, ReplicatedLog
 from repro.sql.ast import Select, SetPragma
 from repro.sql.database import Database
 from repro.sql.parser import parse_sql
@@ -308,7 +307,9 @@ class ReplicationGroup:
     def _install_primary(self, node, term):
         node.role = "primary"
         node.term = term
-        node.log.stamp = lambda n=node: (n.term, n.log.last_lsn + 1)
+        # Weakly: the node owns its log (no cycle).
+        node.log.stamp = lambda n=weakref.proxy(node): (
+            n.term, n.log.last_lsn + 1)
 
     def _link(self, src, dst):
         link = self._links.get((src, dst))
@@ -404,9 +405,10 @@ class ReplicationGroup:
                 prev = primary.log.entry_at(start - 1)
                 message = ("entries", primary.term,
                            [e.record for e in entries],
+                           [e.checksum for e in entries],
                            start - 1,
                            prev.checksum if prev is not None else None)
-                size = sum(record_size(e.record) for e in entries)
+                size = sum(e.size for e in entries)
                 if link.send(message, now, size=size):
                     self.stats.shipped_entries += len(entries)
                     self.stats.shipped_bytes += size
@@ -446,8 +448,9 @@ class ReplicationGroup:
             node.log.stamp = None
         node.last_heard = now
         if message[0] == "entries":
-            _, _, records, prev_lsn, prev_crc = message
-            self._append_entries(node, records, prev_lsn, prev_crc)
+            _, _, records, checksums, prev_lsn, prev_crc = message
+            self._append_entries(node, records, checksums, prev_lsn,
+                                 prev_crc)
             verified = prev_lsn + len(records)
         else:
             _, _, leader_last, leader_crc = message
@@ -478,8 +481,9 @@ class ReplicationGroup:
             keep = leader_last      # head disagrees too: back up further
         self.stats.fenced_entries += node.fence_to(keep)
 
-    def _append_entries(self, node, records, prev_lsn, prev_crc):
-        """Raft-style log reconciliation by per-LSN checksum."""
+    def _append_entries(self, node, records, checksums, prev_lsn, prev_crc):
+        """Raft-style log reconciliation by per-LSN checksum (the
+        leader's, shipped beside each record)."""
         if prev_lsn >= 0:
             prev = node.log.entry_at(prev_lsn)
             if prev is None:
@@ -488,12 +492,11 @@ class ReplicationGroup:
                 # Divergent history at the attach point: fence it.
                 self.stats.fenced_entries += node.fence_to(prev_lsn)
                 return
-        for record in records:
+        for record, checksum in zip(records, checksums):
             lsn = record["lsn"]
             if lsn <= node.last_lsn:
                 own = node.log.entry_at(lsn)
-                if own is not None and \
-                        own.checksum == entry_checksum(record):
+                if own is not None and own.checksum == checksum:
                     continue  # duplicate of what we already hold
                 # Same LSN, different content: the old leader's unacked
                 # tail — truncate it and take the new history.
@@ -582,8 +585,7 @@ class ReplicationGroup:
 
     # -- statement routing -----------------------------------------------------
 
-    def execute(self, sql, session=None, workers=None, min_lsn=None,
-                context=None):
+    def execute(self, sql, session=None, min_lsn=None, context=None):
         """Execute one statement against the cluster.
 
         DML/DDL routes to the primary (commit semantics per ``mode``);
@@ -600,19 +602,17 @@ class ReplicationGroup:
         statement = parse_sql(sql, self.statement_cache) \
             if isinstance(sql, str) else sql
         if isinstance(statement, Select):
-            return self._execute_read(statement, session, workers,
-                                      min_lsn=min_lsn, context=context)
+            return self._execute_read(statement, session, min_lsn=min_lsn,
+                                      context=context)
         if isinstance(statement, SetPragma):
             # Session state, not a write: every node serves reads.
             for node in self.nodes:
                 node.db.execute(statement)
             return None
-        return self._execute_write(statement, session, workers,
-                                   context=context)
+        return self._execute_write(statement, session, context=context)
 
-    def query(self, sql, session=None, workers=None, min_lsn=None):
-        return self.execute(sql, session=session, workers=workers,
-                            min_lsn=min_lsn).rows()
+    def query(self, sql, session=None, min_lsn=None):
+        return self.execute(sql, session=session, min_lsn=min_lsn).rows()
 
     def begin(self, pin=False):
         """A replicated transaction on the primary (commit waits for
@@ -623,22 +623,21 @@ class ReplicationGroup:
     def session(self, read_your_writes=True):
         return Session(self, read_your_writes=read_your_writes)
 
-    def _execute_write(self, statement, session, workers, context=None):
+    def _execute_write(self, statement, session, context=None):
         node = self.require_primary()
         before = node.last_lsn
         if self.tracer.enabled:
             with self.tracer.span("repl.write", kind="replication",
                                   node=node.node_id, mode=self.mode):
                 return self._write_and_wait(node, statement, before, session,
-                                            workers, context=context)
-        return self._write_and_wait(node, statement, before, session, workers,
+                                            context=context)
+        return self._write_and_wait(node, statement, before, session,
                                     context=context)
 
-    def _write_and_wait(self, node, statement, before, session, workers,
+    def _write_and_wait(self, node, statement, before, session,
                         context=None):
         try:
-            result = node.db.execute(statement, workers=workers,
-                                     context=context)
+            result = node.db.execute(statement, context=context)
         except CrashError:
             self.mark_dead(node)  # the primary process died mid-commit
             raise
@@ -671,7 +670,7 @@ class ReplicationGroup:
                         target, self.sync_timeout))
             self.tick()
 
-    def _execute_read(self, statement, session, workers, min_lsn=None,
+    def _execute_read(self, statement, session, min_lsn=None,
                       context=None):
         if context is not None and context.active:
             # The routing cancellation point: fires before a node is
@@ -694,9 +693,8 @@ class ReplicationGroup:
         if self.tracer.enabled:
             with self.tracer.span("repl.read", kind="replication",
                                   node=node.node_id):
-                return node.db.execute(statement, workers=workers,
-                                       context=context)
-        return node.db.execute(statement, workers=workers, context=context)
+                return node.db.execute(statement, context=context)
+        return node.db.execute(statement, context=context)
 
     # -- observability ---------------------------------------------------------
 

@@ -13,38 +13,28 @@ Because the stamp is part of the framed payload, the frame's CRC *is*
 the per-LSN checksum: two nodes agree on an LSN exactly when the
 crc32 of the canonical JSON matches.  Divergence detection and the
 fencing protocol (truncate a deposed primary's unacked tail) are both
-checksum comparisons over these entries.
+checksum comparisons over these entries.  Each entry keeps the
+checksum and the frame size (what shipping it costs) from the WAL's one
+encode of its record, so nothing encodes a record again to ship or
+compare it.
 """
-
-import json
-import zlib
 
 from repro.faults import NO_FAULTS
 from repro.wal import WriteAheadLog
 
 
-def entry_checksum(record):
-    """The per-LSN checksum: crc32 over the canonical framed payload."""
-    payload = json.dumps(record, sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
-    return zlib.crc32(payload)
-
-
-def record_size(record):
-    """Framed payload size in bytes (what shipping the record costs)."""
-    return len(json.dumps(record, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")) + 8
-
-
 class LogEntry:
-    """One replicated record: (lsn, term, checksum, record)."""
+    """One replicated record: (lsn, term, checksum, size, record) —
+    ``checksum`` the crc32 of its canonical framed payload, ``size``
+    its frame's bytes."""
 
-    __slots__ = ("lsn", "term", "checksum", "record")
+    __slots__ = ("lsn", "term", "checksum", "size", "record")
 
-    def __init__(self, lsn, term, checksum, record):
+    def __init__(self, lsn, term, checksum, size, record):
         self.lsn = lsn
         self.term = term
         self.checksum = checksum
+        self.size = size
         self.record = record
 
     def __repr__(self):
@@ -96,8 +86,8 @@ class ReplicatedLog(WriteAheadLog):
                 "non-contiguous append: LSN {0} onto a log of "
                 "{1} entries".format(lsn, len(self.entries)))
         offset = super().append(record)  # crash here -> no entry
-        self.entries.append(LogEntry(lsn, record["term"],
-                                     entry_checksum(record), record))
+        self.entries.append(LogEntry(lsn, record["term"], self.last_crc,
+                                     self.last_size, record))
         return offset
 
     # -- geometry --------------------------------------------------------------

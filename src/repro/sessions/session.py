@@ -24,10 +24,11 @@ snapshot-isolation checker.
 
 Resource governance (optional): a manager built with a
 :class:`~repro.governance.TenantAccountant` and/or governance defaults
-wraps every non-control statement in a per-statement
+runs every statement under a per-statement
 :class:`~repro.governance.QueryContext` stamped with the session's
-tenant.  ``SET deadline = N`` / ``SET memory_budget = N`` through a
-session set session-local limits (0 clears).  A governed kill surfaces
+tenant.  ``SET deadline = N`` / ``SET memory_budget = N`` set the
+session's own ``options`` (0 clears); ``SET workers`` / ``SET
+compile`` go to the backend.  A governed kill surfaces
 as a :class:`~repro.governance.GovernanceError` — a clean, retryable
 error with a machine-readable ``status()``; the session aborts any
 open transaction (buffered writes vanish, nothing was published) and a
@@ -41,9 +42,8 @@ tenant — so PROFILE output attributes time per tenant.
 """
 
 from repro.faults import CrashError
-from repro.governance import (
-    GovernanceError, MemoryExceeded, QueryContext,
-)
+from repro.governance import GovernanceError, MemoryExceeded
+from repro.governance.context import ExecOptions, run_governed
 from repro.sql.ast import (
     BeginTransaction, CommitTransaction, RollbackTransaction, Select,
     SetPragma,
@@ -78,8 +78,8 @@ class _SingleNodeBackend:
     def begin(self, session):
         return self.db.begin(pin=True)
 
-    def autocommit(self, session, statement, workers, context=None):
-        return self.db.execute(statement, workers=workers, context=context)
+    def autocommit(self, session, statement, context=None):
+        return self.db.execute(statement, context=context)
 
     def lsn(self):
         return self.db.commit_seq
@@ -93,8 +93,8 @@ class _SingleNodeBackend:
     def local_txns(self, txn):
         return {"": txn}
 
-    def profile(self, session, sql, workers):
-        return self.db.profile(sql, workers=workers)
+    def profile(self, session, sql):
+        return self.db.profile(sql)
 
 
 class _ReplicatedBackend:
@@ -119,9 +119,9 @@ class _ReplicatedBackend:
     def begin(self, session):
         return self.group.begin(pin=True)
 
-    def autocommit(self, session, statement, workers, context=None):
+    def autocommit(self, session, statement, context=None):
         return self.group.execute(
-            statement, session=session._repl, workers=workers,
+            statement, session=session._repl,
             min_lsn=session.last_snapshot_lsn, context=context)
 
     def lsn(self):
@@ -136,9 +136,8 @@ class _ReplicatedBackend:
     def local_txns(self, txn):
         return {"": txn._txn}
 
-    def profile(self, session, sql, workers):
-        return self.group.require_primary().db.profile(sql,
-                                                       workers=workers)
+    def profile(self, session, sql):
+        return self.group.require_primary().db.profile(sql)
 
 
 class _ShardedBackend:
@@ -166,9 +165,8 @@ class _ShardedBackend:
         txn.commit_lsn = None
         return txn
 
-    def autocommit(self, session, statement, workers, context=None):
-        result = self.sdb.execute(statement, workers=workers,
-                                  context=context)
+    def autocommit(self, session, statement, context=None):
+        result = self.sdb.execute(statement, context=context)
         if not isinstance(statement, Select):
             self.commit_seq += 1
         return result
@@ -194,7 +192,7 @@ class _ShardedBackend:
         return {"shard{0}".format(sid): local
                 for sid, local in txn._txns.items()}
 
-    def profile(self, session, sql, workers):
+    def profile(self, session, sql):
         raise NotImplementedError(
             "PROFILE through a sharded session is not supported")
 
@@ -232,10 +230,8 @@ class Session:
         self.aborts = 0
         self.conflicts = 0
         self.shed = 0
-        # Session-local governance limits (SET deadline / SET
-        # memory_budget through this session), seeded from the manager.
-        self.deadline = manager.default_deadline
-        self.memory_budget = manager.default_memory_budget
+        # SET deadline / memory_budget land here; the rest go on.
+        self.options = manager.options
         self.governed = 0
         self.last_status = None
         self._backend.attach(self)
@@ -246,7 +242,7 @@ class Session:
 
     # -- statement routing -----------------------------------------------------
 
-    def execute(self, sql, workers=None):
+    def execute(self, sql):
         """Execute one statement in this session.
 
         ``BEGIN``/``COMMIT``/``ROLLBACK`` drive transaction state;
@@ -254,25 +250,27 @@ class Session:
         Text is parsed once, through the backend's statement cache, and
         the parsed statement is what runs.
         """
-        statement = parse_sql(sql, self._backend.statement_cache) \
-            if isinstance(sql, str) else sql
         tracer = self._manager.tracer
         if not tracer.enabled:
-            return self._dispatch(statement, sql, workers)
+            return run_governed(self, sql, None, self.options, self.tenant,
+                                self._manager.accountant)
         label = sql if isinstance(sql, str) else repr(sql)
         with tracer.span("session.statement", kind="session",
                          tenant=self.tenant, session=self.session_id,
                          sql=label[:200]) as span:
             try:
-                return self._dispatch(statement, sql, workers)
+                return run_governed(self, sql, None, self.options,
+                                    self.tenant, self._manager.accountant)
             except GovernanceError as exc:
                 span.attrs["governed"] = exc.reason
                 raise
 
-    def query(self, sql, workers=None):
-        return self.execute(sql, workers=workers).rows()
+    def query(self, sql):
+        return self.execute(sql).rows()
 
-    def _dispatch(self, statement, sql, workers):
+    def _execute_statement(self, sql, context, options):
+        statement = parse_sql(sql, self._backend.statement_cache) \
+            if isinstance(sql, str) else sql
         self.statements += 1
         if isinstance(statement, BeginTransaction):
             self.begin()
@@ -284,28 +282,11 @@ class Session:
             self.abort()
             return None
         if isinstance(statement, SetPragma) and \
-                statement.name in ("deadline", "memory_budget"):
-            from repro.sql.database import Database
-            limit = Database._pragma_limit(statement.name,
-                                           statement.value)
-            setattr(self, statement.name, limit)
+                statement.name in options.LIMITS:
+            self.options = options.set(statement)
             return None
-        context = QueryContext.limited(
-            self.deadline, self.memory_budget, tenant=self.tenant,
-            accountant=self._manager.accountant)
-        try:
-            return self._run_statement(statement, sql, workers, context)
-        except GovernanceError as exc:
-            self._governed(exc)
-            raise
-        finally:
-            if context is not None:
-                context.release()
-
-    def _run_statement(self, statement, sql, workers, context):
         if self.txn is None:
-            return self._backend.autocommit(self, statement, workers,
-                                            context=context)
+            return self._backend.autocommit(self, statement, context)
         result = self.txn.execute(statement, context=context)
         recorder = self._manager.recorder
         if recorder is not None:
@@ -421,10 +402,10 @@ class Session:
 
     # -- observability ----------------------------------------------------------
 
-    def profile(self, sql, workers=None):
+    def profile(self, sql):
         """PROFILE a SELECT through this session; the root span is
         stamped with the tenant so reports attribute time per tenant."""
-        profile = self._backend.profile(self, sql, workers)
+        profile = self._backend.profile(self, sql)
         profile.root.attrs["tenant"] = self.tenant
         profile.root.attrs["session"] = self.session_id
         return profile
@@ -480,20 +461,16 @@ class SessionManager:
         self.tracer = tracer if tracer is not None else getattr(
             backend, "tracer", NO_TRACE)
         self.accountant = accountant
-        self.default_deadline = default_deadline
-        self.default_memory_budget = default_memory_budget
+        self.options = ExecOptions(deadline=default_deadline,
+                                   memory_budget=default_memory_budget)
         self.committed = 0
         self.governed = 0
         self._session_seq = 0
         self._txn_seq = 0
-        self.sessions = []
 
     def session(self, tenant="default"):
         self._session_seq += 1
-        session = Session(self, tenant,
-                          "s{0}".format(self._session_seq))
-        self.sessions.append(session)
-        return session
+        return Session(self, tenant, "s{0}".format(self._session_seq))
 
     def _next_txn_id(self):
         self._txn_seq += 1

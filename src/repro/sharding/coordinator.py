@@ -18,17 +18,21 @@ two-phase protocol in :mod:`repro.sharding.twopc`.
 With one shard every statement takes the ``single`` plan with the
 original AST, so ``ShardedDatabase(n_shards=1)`` degrades to exactly
 the single-node engine.
+
+``SET deadline`` / ``SET memory_budget`` stay in the coordinator's
+``options``; ``SET workers`` / ``SET compile`` also reach every shard,
+and every node that joins later starts at them.
 """
 
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.bat import BAT
 from repro.datacyclotron.link import SimulatedLink
 from repro.faults import NO_FAULTS
 from repro.governance.breaker import CircuitBreaker
-from repro.governance.context import CHECK_SCATTER, QueryContext
+from repro.governance.context import CHECK_SCATTER, run_governed
 from repro.governance.errors import GovernanceError
 from repro.mal.optimizer import DEFAULT_PIPELINE
 from repro.observability.tracer import NO_TRACE
@@ -138,12 +142,16 @@ class ShardNode:
                                wal=WriteAheadLog(path=wal_path),
                                faults=faults)
 
-    def execute(self, statement, workers=None, context=None):
+    def execute(self, statement, context=None):
         if self.group is not None:
-            return self.group.execute(statement, workers=workers,
-                                      context=context)
-        return self.db.execute(statement, workers=workers,
-                               context=context)
+            return self.group.execute(statement, context=context)
+        return self.db.execute(statement, context=context)
+
+    def databases(self):
+        """Every Database of the shard: its own, or each group node's."""
+        if self.group is None:
+            return [self.db]
+        return [node.db for node in self.group.nodes]
 
     @property
     def database(self):
@@ -225,10 +233,9 @@ class ShardedDatabase:
                               "probe_jitter": breaker_probe_jitter}
         self._breaker_seed = breaker_seed
         self.breakers = {}        # shard id -> CircuitBreaker, lazy
-        # Coordinator-level governance defaults (SET deadline /
-        # SET memory_budget land here, not on the shards).
-        self.default_deadline = None
-        self.default_memory_budget = None
+        # The cluster's options (ExecOptions): the first shard's, until
+        # a SET.  Every node added starts at their workers and compile.
+        self.options = None
         self.clock = 0            # the link tick clock
         self._xid_counter = 0
         self._wal_dir = wal_dir
@@ -262,6 +269,11 @@ class ShardedDatabase:
             faults=self.faults,
             wal_path=self._wal_path("shard{0}.wal".format(shard_id)),
             pipeline=self.pipeline)
+        if self.options is None:
+            self.options = node.database.options
+        for db in node.databases():
+            db.options = replace(db.options, workers=self.options.workers,
+                                 compile=self.options.compile)
         node.joining = joining
         self.shards.append(node)
         self.links.append(
@@ -357,12 +369,12 @@ class ShardedDatabase:
             self.tracer.add("shard_shipped_bytes", reply_size)
         return result
 
-    def _ship(self, shard_id, request, statement, workers=None,
-              context=None, timeout=None):
+    def _ship(self, shard_id, request, statement, context=None,
+              timeout=None):
         """Run ``statement`` on one shard: one :meth:`_rpc`."""
         return self._rpc(shard_id, request,
                          lambda: self.shards[shard_id].execute(
-                             statement, workers=workers, context=context),
+                             statement, context=context),
                          timeout=timeout)
 
     def _broadcast(self, request, statement, context=None):
@@ -385,7 +397,7 @@ class ShardedDatabase:
             self.breakers[shard_id] = breaker
         return breaker
 
-    def _hedge_leg(self, shard_id, ast, workers=None, context=None):
+    def _hedge_leg(self, shard_id, ast, context=None):
         """Re-dispatch one scatter leg around its gray link: to the
         shard's replica group when replicated, else over a direct
         channel to the shard's database.  Costs a flat healthy-path
@@ -393,11 +405,9 @@ class ShardedDatabase:
         wait."""
         self.stats.hedged_legs += 1
         self.clock += 2
-        return self.shards[shard_id].execute(ast, workers=workers,
-                                             context=context)
+        return self.shards[shard_id].execute(ast, context=context)
 
-    def _run_leg(self, runner, shard_id, ast, context=None,
-                 hedged=False, workers=None):
+    def _run_leg(self, runner, shard_id, ast, context=None, hedged=False):
         """One scatter/single leg: checkpoint, breaker gate, run —
         hedging past a timed-out or broken link when enabled."""
         if context is not None and context.active:
@@ -408,15 +418,13 @@ class ShardedDatabase:
         if not breaker.allow(self.clock):
             # Open breaker: stop paying the gray link at all.
             self.stats.breaker_skips += 1
-            return self._hedge_leg(shard_id, ast, workers=workers,
-                                   context=context)
+            return self._hedge_leg(shard_id, ast, context=context)
         try:
             result = runner(shard_id, ast)
         except LegTimeout:
             self.stats.leg_timeouts += 1
             breaker.record_failure(self.clock)
-            return self._hedge_leg(shard_id, ast, workers=workers,
-                                   context=context)
+            return self._hedge_leg(shard_id, ast, context=context)
         except ShardUnavailableError:
             breaker.record_failure(self.clock)
             raise
@@ -443,55 +451,41 @@ class ShardedDatabase:
 
     # -- statement routing ------------------------------------------------------
 
-    def execute(self, sql, workers=None, context=None):
+    def execute(self, sql, context=None):
         """Execute one statement across the shards (autocommit).
 
         ``context`` is an optional
         :class:`~repro.governance.QueryContext`: checked before every
         scatter leg (and, threaded into the shard databases, at every
         engine checkpoint inside each leg); a kill mid-scatter
-        broadcasts a best-effort cancel to the legs not yet run."""
+        broadcasts a best-effort cancel to the legs not yet run.
+        Without one, ``SET deadline`` / ``SET memory_budget`` make the
+        statement run under an owned context."""
         statement = parse_sql(sql, self.statement_cache) \
             if isinstance(sql, str) else sql
         self.stats.statements += 1
-        owned = None
-        if context is None:
-            context = owned = QueryContext.limited(
-                self.default_deadline, self.default_memory_budget)
-        try:
-            if not self.tracer.enabled:
-                return self._execute_statement(statement, workers,
-                                               context)
-            label = sql if isinstance(sql, str) else repr(sql)
-            with self.tracer.span("sharded.statement", kind="sharding",
-                                  sql=label[:200]):
-                return self._execute_statement(statement, workers,
-                                               context)
-        except GovernanceError:
-            self.stats.governance_kills += 1
-            raise
-        finally:
-            if owned is not None:
-                owned.release()
+        if not self.tracer.enabled:
+            return run_governed(self, statement, context, self.options)
+        label = sql if isinstance(sql, str) else repr(sql)
+        with self.tracer.span("sharded.statement", kind="sharding",
+                              sql=label[:200]):
+            return run_governed(self, statement, context, self.options)
 
-    def _execute_statement(self, statement, workers, context=None):
+    def _governed(self, exc):
+        self.stats.governance_kills += 1
+
+    def _execute_statement(self, statement, context, options):
         if isinstance(statement, Explain):
             return ResultSet(["plan"],
                              [self.explain(statement.statement)
                               .splitlines()])
         if isinstance(statement, SetPragma):
-            if statement.name in ("deadline", "memory_budget"):
-                # Governance limits govern whole statements, scatter
-                # legs included — they live on the coordinator, not
-                # the shards.
-                limit = Database._pragma_limit(statement.name,
-                                               statement.value)
-                if statement.name == "deadline":
-                    self.default_deadline = limit
-                else:
-                    self.default_memory_budget = limit
-                return None
-            self._broadcast(("pragma",), statement)
+            options = self.options.set(statement)
+            if statement.name not in options.LIMITS:
+                # Limits govern whole statements, scatter legs
+                # included: they stay on the coordinator.
+                self._broadcast(("pragma",), statement)
+            self.options = options
             return None
         if isinstance(statement, CreateTable):
             return self._create_table(statement)
@@ -504,13 +498,12 @@ class ShardedDatabase:
             self._after_write()
             return result
         if isinstance(statement, Select):
-            return self._select(statement, workers=workers,
-                                context=context)
+            return self._select(statement, context=context)
         raise TypeError("unsupported statement {0}".format(
             statement_kind(statement)))
 
-    def query(self, sql, workers=None):
-        return self.execute(sql, workers=workers).rows()
+    def query(self, sql):
+        return self.execute(sql).rows()
 
     def begin(self, context=None):
         """A cross-shard transaction (two-phase commit when it writes
@@ -626,28 +619,26 @@ class ShardedDatabase:
 
     # -- SELECT ------------------------------------------------------------------
 
-    def _select(self, select, workers=None, runner=None, context=None):
+    def _select(self, select, runner=None, context=None):
         # Hedging defends the coordinator's own scatter; a transaction
         # runner reads per-shard snapshots, which a replica or direct
         # re-run would not see, so it always waits its legs out.
         hedged = runner is None and self.leg_timeout is not None
         if runner is None:
             runner = lambda shard_id, ast: self._ship(  # noqa: E731
-                shard_id, ("select", repr(ast)), ast, workers=workers,
-                context=context, timeout=self.leg_timeout)
+                shard_id, ("select", repr(ast)), ast, context=context,
+                timeout=self.leg_timeout)
         refs = [select.table] + [join.table for join in select.joins] \
             if select.table is not None else []
         if any(ref.name in self.views for ref in refs):
-            return self._select_view(select, refs, workers=workers,
-                                     context=context)
+            return self._select_view(select, refs, context=context)
         plan = plan_select(self.schema, select, self.shard_map)
         if plan.kind == "single":
             self.stats.single_shard += 1
             if plan.pruned:
                 self.stats.pruned += 1
             return self._run_leg(runner, plan.shards[0], select,
-                                 context=context, hedged=hedged,
-                                 workers=workers)
+                                 context=context, hedged=hedged)
         if plan.kind == "scatter":
             self.stats.scatter += 1
             results = []
@@ -655,7 +646,7 @@ class ShardedDatabase:
                 for shard_id in plan.shards:
                     results.append(self._run_leg(
                         runner, shard_id, plan.shard_select,
-                        context=context, hedged=hedged, workers=workers))
+                        context=context, hedged=hedged))
             except GovernanceError:
                 self._broadcast_cancel(plan.shards[len(results):],
                                        context)
@@ -665,10 +656,10 @@ class ShardedDatabase:
                 plan.merge.names, merge(plan, [r.bats() for r in results]))
         self.stats.gather += 1
         scratch = self._gather_database(plan, runner, context=context,
-                                        hedged=hedged, workers=workers)
+                                        hedged=hedged)
         return scratch.execute(select, context=context)
 
-    def _select_view(self, select, refs, workers=None, context=None):
+    def _select_view(self, select, refs, context=None):
         """A SELECT over materialized views: rebuild each referenced
         view's global contents on a scratch database, then run the
         query there.
@@ -687,7 +678,8 @@ class ShardedDatabase:
                 "{0})".format(sorted(set(missing))))
         self.stats.view_reads += 1
         scratch = Database(pipeline=self.pipeline)
-        scratch.default_compile = False  # one statement: codegen never pays
+        # One statement: codegen never pays.
+        scratch.options = replace(scratch.options, compile=False)
         for name in dict.fromkeys(ref.name for ref in refs):
             definition = self.views[name]
             scratch.catalog.create_table(name, definition.columns)
@@ -695,7 +687,7 @@ class ShardedDatabase:
             rows = self._view_rows(name, definition)
             if rows:
                 target.append_rows([list(r) for r in rows])
-        return scratch.execute(select, workers=workers, context=context)
+        return scratch.execute(select, context=context)
 
     def _view_rows(self, name, definition):
         """One view's global contents, gathered from the shards (rows
@@ -724,12 +716,12 @@ class ShardedDatabase:
             definition.plan.names,
             finish_aggregates(definition.plan, parts)).rows()
 
-    def _gather_database(self, plan, runner, context=None, hedged=False,
-                         workers=None):
+    def _gather_database(self, plan, runner, context=None, hedged=False):
         """The gather fallback's scratch single-node database: every
         referenced fragment shipped to the coordinator."""
         scratch = Database(pipeline=self.pipeline)
-        scratch.default_compile = False  # one statement: codegen never pays
+        # One statement: codegen never pays.
+        scratch.options = replace(scratch.options, compile=False)
         seen = set()
         for info in plan.tables:
             if info.name in seen:
@@ -744,8 +736,7 @@ class ShardedDatabase:
             target = scratch.catalog.get(info.name)
             for shard_id in sources:
                 rows = self._run_leg(runner, shard_id, fetch,
-                                     context=context, hedged=hedged,
-                                     workers=workers).rows()
+                                     context=context, hedged=hedged).rows()
                 if rows:
                     target.append_rows([list(r) for r in rows])
         return scratch

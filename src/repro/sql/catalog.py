@@ -15,7 +15,9 @@ order.  With rows deleted, ``sql.tid`` is built from the mask once per
 table version.  Appends only ever extend columns and deletes only ever
 extend the log, so a snapshot is fully described by a row count and a
 log length — the cheap-snapshot property the paper claims (measured in
-experiment E14).
+experiment E14) — and the log's tail past a snapshot is exactly what
+commit validation checks a writer's deletes against.  A vacuum
+renumbers oids and restarts the log; ``vacuum_version`` records when.
 """
 
 import numpy as np
@@ -82,8 +84,10 @@ class Table:
         self.version = 0
         self._reset_deleted(0)
         self._tid = (None, None)    # (version, BAT)
-        self.delete_log = []        # [(version after delete, frozenset oids)]
-        self._delete_log_floor = 0  # snapshots older than this can't be answered
+        # The version of the latest vacuum (merge_deltas, load_columns):
+        # it renumbers oids and restarts the delete log, so no older
+        # snapshot's log length means anything any more.
+        self.vacuum_version = 0
         self._crackers = {}
 
     def _reset_deleted(self, count):
@@ -272,24 +276,7 @@ class Table:
             for cracker in self._crackers.values():
                 cracker.delete(listed)
             self.version += 1
-            self.delete_log.append((self.version, frozenset(listed)))
-            if len(self.delete_log) > 1024:
-                dropped_version, _ = self.delete_log.pop(0)
-                self._delete_log_floor = dropped_version
         return len(fresh)
-
-    def deleted_since(self, version):
-        """Oids deleted by writers after snapshot ``version``, or
-        ``None`` when the log cannot answer (the snapshot predates a
-        vacuum or a trimmed log entry) — callers must then assume the
-        worst and treat every shared row as touched."""
-        if version < self._delete_log_floor:
-            return None
-        out = set()
-        for logged_version, oids in self.delete_log:
-            if logged_version > version:
-                out |= oids
-        return out
 
     def cracked_select(self, column, lo=None, hi=None, lo_incl=True,
                        hi_incl=False):
@@ -345,10 +332,7 @@ class Table:
         self.base_count = len(keep)
         self._crackers = {}  # oids were renumbered: rebuild lazily
         self.version += 1
-        # Oids were renumbered: older snapshots can no longer be
-        # validated row-by-row against the delete log.
-        self.delete_log = []
-        self._delete_log_floor = self.version
+        self.vacuum_version = self.version
 
     def load_columns(self, columns, deleted, base_count):
         """Install stored state (a loaded database's): ``columns`` maps
@@ -360,6 +344,7 @@ class Table:
         self.base_count = base_count
         self._crackers = {}
         self.version += 1
+        self.vacuum_version = self.version
 
     def __repr__(self):
         return "Table({0!r}, {1} rows visible, {2} delta, {3} deleted)".format(

@@ -1,9 +1,17 @@
-"""The user-facing Database facade: parse -> compile -> optimize -> run."""
+"""The user-facing Database facade: parse -> compile -> optimize -> run.
+
+Its ``SET`` pragmas live in one ``options``
+(:class:`~repro.governance.context.ExecOptions`); ``execute``,
+``query`` and ``profile`` take the engine's only per-call ``workers``
+override.
+"""
 
 from repro.compile import PlanCompiler
 from repro.core.bat import BAT
 from repro.faults import NO_FAULTS
-from repro.governance.context import NO_GOVERNANCE, QueryContext
+from repro.governance.context import (
+    NO_GOVERNANCE, ExecOptions, run_governed,
+)
 from repro.mal.interpreter import Interpreter
 from repro.mal.optimizer import CRACKING_PIPELINE, DEFAULT_PIPELINE
 from repro.observability.tracer import NO_TRACE
@@ -184,28 +192,19 @@ class Database:
             wal.faults = self.faults
         if wal is not None and self.tracer.enabled:
             wal.tracer = self.tracer
+        # The SET pragmas.  Two engines start with compile off: the
+        # recycler caches interpreter instruction results, which kernels
+        # would run past, and a cracked range select pays off against an
+        # interpreted scan only (on the compiled path it loses to a
+        # fused scan).
+        self.options = ExecOptions(
+            compile=recycler is None and pipeline is not CRACKING_PIPELINE)
         # Intra-query parallelism (repro.parallel).
         self.smp_profile = smp_profile
-        self.default_workers = 1
         self.parallel_runs = 0
         self.parallel_fallbacks = 0
-        # Plan-fragment compilation (repro.compile): every plan runs as
-        # fused kernels with per-fragment fallback to the interpreter;
-        # SET compile = false pins the interpreter for the session.
-        # Two engines start pinned: the recycler caches interpreter
-        # instruction results, which kernels would run past, and a
-        # cracked range select pays off against an interpreted scan
-        # only (on the compiled path it loses to a fused scan).
-        self.default_compile = (recycler is None
-                                and pipeline is not CRACKING_PIPELINE)
         self.plan_compiler = PlanCompiler(self, self.statement_cache.kernels)
         self.last_parallel = None  # ParallelResult of the latest SELECT
-        # Query governance (repro.governance): session-level defaults,
-        # set by the SET deadline / SET memory_budget pragmas.  When
-        # either is set, execute() runs each statement under an owned
-        # QueryContext; an explicit context argument always wins.
-        self.default_deadline = None
-        self.default_memory_budget = None
         self.governance_kills = 0
         self.last_profile = None   # QueryProfile of the latest PROFILE
         # Two-phase commit bookkeeping: prepared-but-undecided records
@@ -248,8 +247,8 @@ class Database:
         Returns a :class:`ResultSet` for SELECT, the affected row count
         for DML, None for DDL, and for ``EXPLAIN``/``PROFILE`` a
         one-column ``plan`` ResultSet holding the rendered plan or
-        span-tree lines.  ``workers`` overrides the session's worker
-        count (``SET workers = N``) for this statement.
+        span-tree lines.  ``workers`` overrides ``options.workers``
+        (``SET workers = N``) for this statement.
 
         ``context`` is an optional
         :class:`~repro.governance.QueryContext` checked cooperatively
@@ -261,34 +260,27 @@ class Database:
         always *before* the statement's commit point, so committed
         state is untouched.
         """
-        from repro.governance.errors import GovernanceError
-        owned = None
-        if context is None:
-            context = owned = QueryContext.limited(
-                self.default_deadline, self.default_memory_budget)
-        try:
-            if not self.tracer.enabled:
-                return self._execute_statement(sql, workers, context)
-            label = sql if isinstance(sql, str) else repr(sql)
-            with self.tracer.span("statement", kind="statement",
-                                  sql=label[:200]):
-                return self._execute_statement(sql, workers, context)
-        except GovernanceError:
-            self.governance_kills += 1
-            raise
-        finally:
-            if owned is not None:
-                owned.release()
+        options = self.options if workers is None else \
+            self.options.set(SetPragma("workers", workers))
+        if not self.tracer.enabled:
+            return run_governed(self, sql, context, options)
+        label = sql if isinstance(sql, str) else repr(sql)
+        with self.tracer.span("statement", kind="statement",
+                              sql=label[:200]):
+            return run_governed(self, sql, context, options)
 
-    def _execute_statement(self, sql, workers=None, context=None):
-        effective = self._workers(workers)
+    def _governed(self, exc):
+        self.governance_kills += 1
+
+    def _execute_statement(self, sql, context=None, options=None):
+        workers = (options or self.options).workers
         # Pre-parsed statement ASTs run directly (sessions, sharding and
         # replication route statements as ASTs, not text).
         statement = parse_sql(sql, self.statement_cache) \
             if isinstance(sql, str) else sql
         if isinstance(statement, Select):
-            if effective > 1:
-                result = self._run_parallel(statement, effective,
+            if workers > 1:
+                result = self._run_parallel(statement, workers,
                                             self.tracer, self.smp_profile,
                                             context=context)
                 if result is not None:
@@ -300,11 +292,12 @@ class Database:
             return ResultSet(["plan"], [plan.splitlines()])
         if isinstance(statement, Profile):
             profile = self._profile_statement(
-                statement.statement, statement.sql or "", workers=effective)
+                statement.statement, statement.sql or "", workers=workers)
             self.last_profile = profile
             return ResultSet(["plan"], [profile.text().splitlines()])
         if isinstance(statement, SetPragma):
-            return self._apply_pragma(statement)
+            self.options = self.options.set(statement)
+            return None
         if isinstance(statement, (BeginTransaction, CommitTransaction,
                                   RollbackTransaction)):
             raise TypeError(
@@ -355,51 +348,6 @@ class Database:
     def query(self, sql, workers=None):
         """Shorthand: execute a SELECT and return its rows."""
         return self.execute(sql, workers=workers).rows()
-
-    def _workers(self, workers):
-        """The worker count a statement runs with: ``workers``, or the
-        session's ``SET workers`` default when None.  One check for
-        ``execute``, ``profile`` and the pragma: a positive int (not a
-        bool), else ValueError."""
-        if workers is None:
-            return self.default_workers
-        if not isinstance(workers, int) or isinstance(workers, bool) \
-                or workers < 1:
-            raise ValueError(
-                "workers must be a positive integer, got {0!r}".format(
-                    workers))
-        return workers
-
-    def _apply_pragma(self, pragma):
-        if pragma.name == "workers":
-            self.default_workers = self._workers(pragma.value)
-            return None
-        if pragma.name == "compile":
-            value = pragma.value
-            if not isinstance(value, bool):
-                raise ValueError("SET compile needs true or false")
-            self.default_compile = value
-            return None
-        if pragma.name == "deadline":
-            self.default_deadline = self._pragma_limit("deadline",
-                                                       pragma.value)
-            return None
-        if pragma.name == "memory_budget":
-            self.default_memory_budget = self._pragma_limit(
-                "memory_budget", pragma.value)
-            return None
-        raise ValueError("unknown pragma {0!r}".format(pragma.name))
-
-    @staticmethod
-    def _pragma_limit(name, value):
-        """Validate a governance limit pragma: a positive integer sets
-        the limit, 0 clears it."""
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or value < 0:
-            raise ValueError(
-                "SET {0} needs a non-negative integer (0 clears)".format(
-                    name))
-        return value or None
 
     def _run_parallel(self, statement, workers, tracer, smp_profile,
                       context=None):
@@ -464,7 +412,8 @@ class Database:
             statement = statement.statement
         profile = self._profile_statement(
             statement, sql if isinstance(sql, str) else "",
-            workers=self._workers(workers),
+            workers=self.options.workers if workers is None
+            else self.options.set(SetPragma("workers", workers)).workers,
             hardware_profile=hardware_profile)
         self.last_profile = profile
         return profile
@@ -499,7 +448,7 @@ class Database:
                 program, names = compile_select(self.catalog, statement)
                 program = self.pipeline.optimize(program)
             with tracer.span("execute", kind="pipeline",
-                             kernels=self.default_compile):
+                             kernels=self.options.compile):
                 out = self._run_program(program, self.catalog,
                                         tracer=tracer, hierarchy=hierarchy)
         return QueryProfile(tracer.roots[-1],
@@ -571,7 +520,7 @@ class Database:
         interpreter.governance = context if context is not None \
             else NO_GOVERNANCE
         try:
-            if self.default_compile:
+            if self.options.compile:
                 out = self.plan_compiler.try_run(program, view,
                                                  interpreter, shape,
                                                  tracer=tracer,

@@ -10,9 +10,10 @@ commit:
 * appends always merge (they cannot conflict);
 * deletes/updates of shared rows conflict iff another writer committed
   a delete/update of *the same row* since the snapshot was taken
-  (row-level first-writer-wins, answered by the table's delete log;
-  when the log cannot answer — the snapshot predates a vacuum — the
-  check degrades to the coarse table-level conservative abort).
+  (row-level first-writer-wins, answered by the tail of the table's
+  delete log past the snapshot's log length; when the snapshot
+  predates a vacuum, which restarts the log, the check degrades to the
+  coarse table-level conservative abort).
 
 Commit is write-ahead logged and fault-injectable: the buffered writes
 are first distilled into one logical record (appends + shared deletes
@@ -253,20 +254,22 @@ class Transaction:
         """Validation phase: row-level first-writer-wins for non-append
         writes.  A transaction deleting/updating shared rows conflicts
         iff a committed writer deleted/updated *one of the same rows*
-        after its snapshot; when the delete log cannot answer (the
-        snapshot predates a vacuum) any concurrent table change aborts
-        conservatively.  A conflict closes the transaction (catalog
-        untouched) and raises :class:`ConflictError`."""
+        after its snapshot (the delete log's tail past the snapshot's
+        log length); when the snapshot predates a vacuum any concurrent
+        table change aborts conservatively.  A conflict closes the
+        transaction (catalog untouched) and raises
+        :class:`ConflictError`."""
         touched = sorted(set(self._appends) | set(self._deleted))
         for name in touched:
-            snap_count, _, snap_version = self._snapshots[name]
+            snap_count, snap_log, snap_version = self._snapshots[name]
             table = self._catalog.get(name)
             shared_deletes = {o for o in self._deleted.get(name, set())
                               if o < snap_count}
             if not shared_deletes or table.version == snap_version:
                 continue
-            committed = table.deleted_since(snap_version)
-            if committed is None or committed & shared_deletes:
+            if snap_version < table.vacuum_version or \
+                    not shared_deletes.isdisjoint(
+                        table.deleted_oids[snap_log:].tolist()):
                 self.closed = True
                 self.outcome = "aborted (conflict)"
                 raise ConflictError(

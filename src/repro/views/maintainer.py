@@ -30,6 +30,8 @@ replay rebuilds every view by re-running the same create-then-maintain
 history — on recovery, on replicas, and per shard.
 """
 
+import weakref
+
 import numpy as np
 
 from repro.core.algebra import _present
@@ -51,10 +53,12 @@ class ViewMaintenanceError(RuntimeError):
 
 
 class ViewMaintainer:
-    """All materialized views of one database."""
+    """All materialized views of one database (held weakly: the
+    database owns the maintainer, so a dropped database is freed
+    without the cycle collector)."""
 
     def __init__(self, database):
-        self._db = database
+        self._db = weakref.proxy(database)
         self._views = {}     # view name -> operator object
         self._watchers = {}  # base table -> [view names, creation order]
         self.counters = {}   # view name -> maintenance counters

@@ -84,6 +84,7 @@ class WriteAheadLog:
         self.records_appended = 0
         self.torn_bytes_discarded = 0
         self.stall_units = 0
+        self.last_crc = self.last_size = None
         if path is not None:
             try:
                 with open(path, "rb") as handle:
@@ -113,7 +114,8 @@ class WriteAheadLog:
         """
         payload = json.dumps(record, sort_keys=True,
                              separators=(",", ":")).encode("utf-8")
-        frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        crc = zlib.crc32(payload)
+        frame = _HEADER.pack(len(payload), crc) + payload
         lsn = len(self._buffer)
         from repro.faults import CrashError
         try:
@@ -125,6 +127,9 @@ class WriteAheadLog:
                 self._write(frame[:min(torn, len(frame))])
             raise
         self._write(frame)
+        # The frame's checksum and length, kept so a caller that needs
+        # them (the replicated log) does not encode the record again.
+        self.last_crc, self.last_size = crc, len(frame)
         self.records_appended += 1
         if self.tracer.enabled:
             self.tracer.add("wal_bytes", len(frame))

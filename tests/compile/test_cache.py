@@ -212,10 +212,10 @@ def test_unsupported_shapes_fall_back_without_counting_misses():
 
 def test_set_compile_pragma_flows_through_sessions():
     db = _db()
-    assert db.default_compile is True   # kernels are the default
+    assert db.options.compile is True   # kernels are the default
     baseline = query_interpreted(db, "SELECT sum(v) FROM t WHERE k > 7")
     db.execute("SET compile = true")
-    assert db.default_compile is True
+    assert db.options.compile is True
     assert db.query("SELECT sum(v) FROM t WHERE k > 7") == baseline
     assert db.plan_compiler.stats["compiled_runs"] >= 1
     # Transactions inherit the session default.
@@ -225,7 +225,7 @@ def test_set_compile_pragma_flows_through_sessions():
             "SELECT sum(v) FROM t WHERE k > 7").rows()
     assert rows[0][0] == baseline[0][0] + 3
     db.execute("SET compile = false")
-    assert db.default_compile is False
+    assert db.options.compile is False
     with pytest.raises(ValueError):
         db.execute("SET compile = 1")
 

@@ -75,7 +75,7 @@ def query_interpreted(db, sql, **kwargs):
     """``db.query(sql)`` on the MAL interpreter (``SET compile =
     false``), the reference engine; the database's setting is restored
     afterwards."""
-    previous = db.default_compile
+    previous = db.options.compile
     db.execute("SET compile = false")
     try:
         return db.query(sql, **kwargs)

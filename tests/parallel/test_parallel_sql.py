@@ -43,9 +43,9 @@ def test_parallel_matches_serial(sql):
 
 def test_workers_pragma_sets_session_default():
     db = make_db()
-    assert db.default_workers == 1
+    assert db.options.workers == 1
     db.execute("SET workers = 4")
-    assert db.default_workers == 4
+    assert db.options.workers == 4
     before = db.parallel_runs
     assert db.query("SELECT count(*) FROM t") == [(500,)]
     assert db.parallel_runs == before + 1
@@ -73,7 +73,7 @@ def test_workers_pragma_validation():
             db.profile("SELECT a FROM t", workers=bad)
     with pytest.raises(ValueError):
         db.execute("SET workers = true")
-    assert db.default_workers == 1
+    assert db.options.workers == 1
 
 
 def test_unsupported_shape_falls_back_to_serial():

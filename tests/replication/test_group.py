@@ -1,6 +1,8 @@
 """ReplicationGroup behaviour under friendly skies: shipping, durability
 modes, read routing, catch-up and the zero-replica degradation."""
 
+import json
+
 import pytest
 
 from repro.faults import FaultInjector
@@ -64,6 +66,24 @@ class TestShipping:
         assert g.stats.shipped_entries >= 2   # 2 records x 2 replicas
         assert g.stats.shipped_bytes > 0
         assert g.stats.acks > 0
+
+    def test_each_node_encodes_a_record_once(self, monkeypatch):
+        """The WAL's one encode gives the checksum and the shipped size:
+        shipping, re-shipping and the duplicate check never re-encode."""
+        g = seeded_group()
+        g.drain()
+        encoded = []
+        dumps = json.dumps
+
+        def spy(obj, **kwargs):
+            encoded.append(obj)
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        g.execute("INSERT INTO t VALUES (1, 10)")
+        g.drain()
+        assert len(encoded) == len(g.nodes) == 3
+        assert all(n.last_lsn == g.primary.last_lsn for n in g.nodes)
 
     def test_replicated_transaction_commits_under_quorum(self):
         g = seeded_group()
@@ -161,7 +181,7 @@ class TestReadRouting:
         assert g.stats.reads_replica == 1
         served = [n for n in g.replicas() if n.db.parallel_runs]
         assert len(served) == 1
-        assert [(n.db.default_workers, n.db.default_compile)
+        assert [(n.db.options.workers, n.db.options.compile)
                 for n in g.nodes] == [(4, False)] * len(g.nodes)
 
 

@@ -118,6 +118,14 @@ class TestOnlineSplit:
         assert target.query(
             "SELECT count(*) FROM tags") == [(3,)]
 
+    def test_joining_node_starts_at_the_clusters_options(self):
+        db = _make()
+        db.execute("SET workers = 2")
+        db.execute("SET compile = false")
+        db.split_shard(0).run()
+        assert [(node.db.options.workers, node.db.options.compile)
+                for node in db.shards] == [(2, False)] * 3
+
     def test_migration_is_invisible_mid_flight(self):
         """Staging discipline: while the copy/catchup runs, scatter
         reads must see each moving row exactly once (on the source) —

@@ -144,7 +144,7 @@ class TestRoutingAndPruning:
     def test_set_workers_broadcasts(self):
         db = _load(ShardedDatabase(n_shards=2))
         db.execute("SET workers = 2")
-        assert all(node.db.default_workers == 2 for node in db.shards)
+        assert all(node.db.options.workers == 2 for node in db.shards)
 
 
 class TestSingleShardDegrade:

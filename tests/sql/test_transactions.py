@@ -160,6 +160,21 @@ class TestConflicts:
         with pytest.raises(ConflictError):
             t1.commit()
 
+    def test_many_concurrent_deletes_of_other_rows_do_not_conflict(self):
+        """Validation reads the delete log's whole tail past the
+        snapshot, however many deletes it holds: a writer deleting a
+        row nobody else touched commits."""
+        db = Database()
+        db.execute("CREATE TABLE big (k BIGINT)")
+        db.execute("INSERT INTO big VALUES " + ", ".join(
+            "({0})".format(k) for k in range(2000)))
+        txn = db.begin(pin=True)
+        for k in range(1099):
+            db.execute("DELETE FROM big WHERE k = {0}".format(k))
+        assert txn.execute("DELETE FROM big WHERE k = 1500") == 1
+        txn.commit()
+        assert db.query("SELECT count(*) FROM big") == [(900,)]
+
 
 class TestAbortSemantics:
     """Regression: however a transaction ends — abort, conflict, crash,

@@ -4,8 +4,10 @@
 the engines built on it (parallel, sharding, views, sessions) plan the
 programs and hand them down, together with their shapes and the kernel
 store.  The statement cache imports ``repro.compile.shapes``, so an
-import the other way would make a cycle.  The check reads each
-module's source, so a lazy import inside a function counts too.
+import the other way would make a cycle.  ``repro.governance`` (the
+query context and the statement options) sits below every front door
+that threads it, replication included.  The check reads each module's
+source, so a lazy import inside a function counts too.
 """
 
 import ast
@@ -47,6 +49,16 @@ def test_compile_imports_no_upper_layer():
     offending = [(path.name, name) for path in modules
                  for name in _imports(path)
                  if any(_within(name, layer) for layer in UPPER_LAYERS)]
+    assert offending == []
+
+
+def test_governance_imports_no_front_door():
+    front_doors = UPPER_LAYERS + ("repro.replication",)
+    modules = sorted((SRC / "governance").rglob("*.py"))
+    assert modules, "no modules found under repro/governance"
+    offending = [(path.name, name) for path in modules
+                 for name in _imports(path)
+                 if any(_within(name, layer) for layer in front_doors)]
     assert offending == []
 
 
